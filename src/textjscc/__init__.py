@@ -8,7 +8,7 @@ evaluation harness.
 
 from .analysis import classical_mds, hamming_matrix
 from .budget import BudgetedEncoding, encode_batch_with_budget, encode_with_budget
-from .channel import ERASED, ChannelConfig, erase, erase_at, erase_bitstream
+from .channel import ERASED, ChannelConfig, erase, erase_bitstream
 from .corpus import (
     CharFrequencyTable,
     TokenizedSentence,
@@ -24,22 +24,21 @@ from .fec import FecPlan, RsCode, plan_budget, rs_decode_erasures, rs_encode, tr
 from .fixed5 import fixed5_decode, fixed5_encode
 from .huffman import HuffmanCodebook, build_huffman, huffman_decode, huffman_encode
 from .lzss import lz_compress, lz_decompress
-from .metrics import WerReport, levenshtein, wer
+from .metrics import levenshtein, wer
 from .model import (
     JsccConfig,
     JsccModel,
     binarize_deterministic,
     binarize_stochastic,
-    binarizer_backward,
     load_pretrained_embeddings,
 )
 from .sweeps import SweepResult, SweepSpec, emit_results, load_results, run_sweep
-from .training import EpochLog, Trainer, TrainSettings, tf_schedule, train
+from .training import EpochLog, Trainer, TrainSettings, tf_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig", "ERASED", "erase", "erase_at", "erase_bitstream",
+    "ChannelConfig", "ERASED", "erase", "erase_bitstream",
     "Vocabulary", "TokenizedSentence", "CharFrequencyTable",
     "build_vocabulary", "filter_sentences", "tokenize", "detokenize",
     "batch_by_length", "char_frequencies",
@@ -48,10 +47,10 @@ __all__ = [
     "BudgetedEncoding", "encode_with_budget", "encode_batch_with_budget",
     "RsCode", "FecPlan", "rs_encode", "rs_decode_erasures", "plan_budget",
     "transmit_baseline",
-    "levenshtein", "wer", "WerReport",
+    "levenshtein", "wer",
     "hamming_matrix", "classical_mds",
     "JsccConfig", "JsccModel", "binarize_stochastic", "binarize_deterministic",
-    "binarizer_backward", "load_pretrained_embeddings",
-    "Trainer", "TrainSettings", "EpochLog", "tf_schedule", "train",
+    "load_pretrained_embeddings",
+    "Trainer", "TrainSettings", "EpochLog", "tf_schedule",
     "SweepSpec", "SweepResult", "run_sweep", "emit_results", "load_results",
 ]

@@ -16,54 +16,13 @@ def hamming_matrix(codewords) -> np.ndarray:
     return diff.sum(axis=2).astype(np.int64)
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Stops when the off-diagonal Frobenius norm falls below tol relative to
-    the matrix norm.  Returns (eigenvalues, eigenvectors as columns), sorted
-    descending.
-    """
-    A = np.array(A, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        return np.zeros(n), V
-    for _ in range(max_sweeps):
-        off = np.sqrt((A ** 2).sum() - (np.diag(A) ** 2).sum())
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * scale / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p, rot_q = A[p].copy(), A[q].copy()
-                A[p] = c * rot_p - s * rot_q
-                A[q] = s * rot_p + c * rot_q
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                vec_p, vec_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    evals = np.diag(A).copy()
-    order = np.argsort(evals)[::-1]
-    return evals[order], V[:, order]
-
-
-def classical_mds(D: np.ndarray, dim: int = 2, tol: float = 1e-10) -> np.ndarray:
+def classical_mds(D: np.ndarray, dim: int = 2) -> np.ndarray:
     """Embed a dissimilarity matrix into `dim` coordinates.
 
     Double-centers the squared distances (B = -1/2 J D^2 J), takes the top
-    eigenpairs (negative eigenvalues clamp to zero), scales eigenvectors by
-    sqrt(eigenvalue).  Output is (n, dim).
+    eigenpairs, scales eigenvectors by sqrt(eigenvalue).  Negative
+    eigenvalues, and positive ones below 1e-10 of the largest magnitude
+    (round-off), clamp to zero.  Output is (n, dim).
     """
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -73,12 +32,9 @@ def classical_mds(D: np.ndarray, dim: int = 2, tol: float = 1e-10) -> np.ndarray
         raise DomainError(f"need more than {dim} points, got {n}")
     J = np.eye(n) - np.ones((n, n)) / n
     B = -0.5 * J @ (D ** 2) @ J
-    evals, evecs = jacobi_eigh(B, tol=tol)
-    coords = np.zeros((n, dim))
-    for k in range(dim):
-        lam = max(evals[k], 0.0)
-        coords[:, k] = evecs[:, k] * np.sqrt(lam)
-    return coords
+    evals, evecs = np.linalg.eigh(B)  # ascending
+    lam = np.where(evals > 1e-10 * np.abs(evals).max(), evals, 0.0)
+    return evecs[:, ::-1][:, :dim] * np.sqrt(lam[::-1][:dim])
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ def encode_with_budget(
 def encode_batch_with_budget(
     batch: Sequence[Sequence[str]],
     budget: int,
-    encode_fn: Callable[[list[str]], np.ndarray] | None = None,
 ) -> BatchBudgetedEncoding:
     """Truncate a jointly compressed batch until the amortized cost fits.
 
@@ -63,12 +62,10 @@ def encode_batch_with_budget(
     """
     if budget < 0:
         raise DomainError("budget must be nonnegative")
-    if encode_fn is None:
-        encode_fn = lambda texts: lz_compress(texts)
     kept = [list(words) for words in batch]
     n = len(kept)
     while True:
-        bits = encode_fn([" ".join(w) for w in kept])
+        bits = lz_compress([" ".join(w) for w in kept])
         if bits.size <= budget * n:
             dropped = [len(orig) - len(now) for orig, now in zip(batch, kept)]
             return BatchBudgetedEncoding(bits, kept, dropped, True)

@@ -44,16 +44,6 @@ def erase(codeword: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator | N
     return (cw * mask).astype(np.int8)
 
 
-def erase_at(codeword: np.ndarray, positions) -> np.ndarray:
-    """Deterministically zero exactly the given positions (test fixture)."""
-    cw = np.asarray(codeword).copy().astype(np.int8)
-    for p in positions:
-        if not 0 <= p < cw.shape[0]:
-            raise IndexError(f"erase position {p} outside [0, {cw.shape[0]})")
-        cw[p] = 0
-    return cw
-
-
 def erase_bitstream(bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Same channel over a {0,1} alphabet; erased positions become ERASED (-1)."""
     if rng is None:

@@ -64,7 +64,11 @@ def save_checkpoint(path: str, model: JsccModel, adam: AdamState | None = None,
 
 
 def read_checkpoint(path: str) -> tuple[JsccConfig, dict, dict[str, np.ndarray]]:
-    """Parse a checkpoint into (config, extra metadata, named blobs)."""
+    """Parse a checkpoint into (config, extra metadata, named blobs).
+
+    Every field is bounds-checked; a truncated, padded or garbled file
+    raises IoError.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -72,28 +76,41 @@ def read_checkpoint(path: str) -> tuple[JsccConfig, dict, dict[str, np.ndarray]]
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
     if data[:6] != MAGIC:
         raise IoError(f"{path} is not a checkpoint (bad magic)")
-    itemsize = data[6]
-    dtype = np.dtype("<f8" if itemsize == 8 else "<f4")
-    (json_len,) = struct.unpack_from("<I", data, 7)
-    meta = json.loads(data[11:11 + json_len].decode("utf-8"))
-    pos = 11 + json_len
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    pos = 6
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise IoError(f"checkpoint {path} is truncated ({len(data)} bytes)")
+        pos += n
+        return data[pos - n:pos]
+
+    itemsize = take(1)[0]
+    if itemsize not in (4, 8):
+        raise IoError(f"checkpoint {path} has precision byte {itemsize}, expected 4 or 8")
+    dtype = np.dtype(f"<f{itemsize}")
+    (json_len,) = struct.unpack("<I", take(4))
+    header = take(json_len)
+    try:
+        meta = json.loads(header.decode("utf-8"))
+        config = JsccConfig(**meta["config"])
+        extra = dict(meta.get("extra", {}))
+        extra["has_adam"] = meta.get("has_adam", False)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IoError(f"checkpoint {path} has a malformed header: {exc}") from exc
+    (count,) = struct.unpack("<I", take(4))
     blobs: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        rows, cols = struct.unpack_from("<II", data, pos)
-        pos += 8
-        nbytes = rows * cols * itemsize
-        arr = np.frombuffer(data[pos:pos + nbytes], dtype=dtype).reshape(rows, cols)
-        pos += nbytes
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IoError(f"checkpoint {path} has a malformed blob name") from exc
+        rows, cols = struct.unpack("<II", take(8))
+        arr = np.frombuffer(take(rows * cols * itemsize), dtype=dtype).reshape(rows, cols)
         blobs[name] = arr.astype(dtype.newbyteorder("="))
-    config = JsccConfig(**meta["config"])
-    extra = dict(meta.get("extra", {}))
-    extra["has_adam"] = meta.get("has_adam", False)
+    if pos != len(data):
+        raise IoError(f"checkpoint {path} has {len(data) - pos} trailing bytes")
     return config, extra, blobs
 
 
@@ -120,6 +137,9 @@ def restore_adam(model: JsccModel, extra: dict, lr: float, clip: float) -> AdamS
     state = AdamState(model.parameters(), lr=lr, clip=clip)
     state.t = int(extra.get("adam_t", 0))
     for i, p in enumerate(state.params):
-        state.m[i][...] = blobs[f"adam.m.{p.name}"]
-        state.v[i][...] = blobs[f"adam.v.{p.name}"]
+        for kind, moments in (("m", state.m), ("v", state.v)):
+            blob = blobs.get(f"adam.{kind}.{p.name}")
+            if blob is None or blob.shape != p.value.shape:
+                raise IoError(f"checkpoint lacks optimizer state adam.{kind}.{p.name}")
+            moments[i][...] = blob
     return state

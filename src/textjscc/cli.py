@@ -3,7 +3,9 @@
 Subcommands: prepare, train, transmit, sweep, embed, gradcheck.  Every
 command validates its configuration before touching the filesystem, all
 output files are written atomically, and all randomness flows from the
-single config seed.
+single config seed.  `transmit` and `sweep` send the baselines through the
+same dispatch (sweeps.encode_group and sweeps.transmit_group), and the
+system names come from sweeps.SYSTEMS.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error.
 Set TEXTJSCC_LOG to error, info, or debug to control verbosity.
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .analysis import classical_mds, hamming_matrix
-from .budget import encode_batch_with_budget, encode_with_budget
 from .channel import erase
 from .checkpoint import load_model, restore_adam, save_checkpoint
 from .config import RunConfig, load_config
@@ -36,14 +37,12 @@ from .corpus import (
     tokenize,
 )
 from .errors import ConfigError, IoError, TextJsccError
-from .fec import plan_budget, transmit_baseline
-from .fixed5 import fixed5_decode, fixed5_encode
+from .fec import plan_budget
 from .gradcheck import run_verification_suite
-from .huffman import codebook_for_pipeline, huffman_decode, huffman_encode
-from .lzss import lz_compress, lz_decompress
+from .huffman import HuffmanCodebook, codebook_for_pipeline
 from .metrics import wer
 from .model import JsccModel, load_pretrained_embeddings
-from .sweeps import run_sweep, emit_results
+from .sweeps import SYSTEMS, emit_results, encode_group, run_sweep, transmit_group
 from .training import Trainer
 
 log = logging.getLogger("textjscc")
@@ -154,13 +153,18 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _codebook(cfg: RunConfig) -> HuffmanCodebook:
+    freqs = CharFrequencyTable.load(
+        _require_file(_out_path(cfg, "charfreq.tsv"), "frequency table"))
+    return codebook_for_pipeline(freqs)
+
+
 def cmd_transmit(cfg: RunConfig, args) -> int:
     vocab = Vocabulary.load(_require_file(_out_path(cfg, "vocab.txt"), "vocabulary"))
     sent = tokenize(args.sentence, vocab)
     if len(sent) == 0:
         raise ConfigError("input sentence is empty")
     channel_cfg = cfg.channel_config()
-    bits = cfg["model.bits"]
 
     if args.system == "deep":
         ckpt = args.checkpoint or _out_path(cfg, "model.tjscc")
@@ -174,36 +178,15 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
         print(f"wer: {wer(sent.ids, hyp):.4f}")
         return 0
 
-    plan = plan_budget(bits, channel_cfg.p_d, cfg["baseline.fec_mode"])
+    plan = plan_budget(cfg["model.bits"], channel_cfg.p_d, cfg["baseline.fec_mode"])
     words = sent.words()
-    if args.system == "huffman":
-        freqs = CharFrequencyTable.load(
-            _require_file(_out_path(cfg, "charfreq.tsv"), "frequency table"))
-        book = codebook_for_pipeline(freqs)
-        encode = lambda text: huffman_encode(text, book)
-        decode = lambda b: huffman_decode(b, book)
-        be = encode_with_budget(words, encode, plan.source_bits)
-        payload = be.bits
-    elif args.system == "fixed5":
-        decode = fixed5_decode
-        be = encode_with_budget(words, fixed5_encode, plan.source_bits)
-        payload = be.bits
-    elif args.system == "gzip-batch":
-        bbe = encode_batch_with_budget([words], plan.source_bits)
-        be = None
-        payload = bbe.bits
-        decode = lambda b: lz_decompress(b)[0]
-        dropped = bbe.words_dropped[0]
-    else:
-        raise ConfigError(f"unknown system {args.system!r}")
-    if be is not None:
-        dropped = be.words_dropped
-
-    out_bits = transmit_baseline(payload, plan, channel_cfg, channel_cfg.stream(0))
-    hyp = decode(out_bits).split()
-    print(f"payload bits: {payload.size} (source budget {plan.source_bits}, "
+    codebook = _codebook(cfg) if args.system == "huffman" else None
+    enc = encode_group(args.system, codebook, [words], plan.source_bits)
+    (hyp,) = transmit_group(args.system, codebook, enc.bits, plan, channel_cfg,
+                            channel_cfg.stream(0))
+    print(f"payload bits: {enc.bits.size} (source budget {plan.source_bits}, "
           f"parity reserve {plan.parity_bits})")
-    print(f"words dropped to fit: {dropped}")
+    print(f"words dropped to fit: {enc.words_dropped}")
     print(f"decoded: {' '.join(hyp)}")
     print(f"wer: {wer(words, hyp):.4f}")
     return 0
@@ -223,13 +206,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         if model.config.vocab_size != len(vocab):
             raise ConfigError(f"checkpoint {path} was trained with a different vocabulary")
         models[model.config.bits] = model
-    codebook = None
-    if "huffman" in spec.systems:
-        freqs = CharFrequencyTable.load(
-            _require_file(_out_path(cfg, "charfreq.tsv"), "frequency table"))
-        codebook = codebook_for_pipeline(freqs)
-
-    table = run_sweep(spec, sentences, models=models, codebook=codebook, jobs=args.jobs)
+    codebook = _codebook(cfg) if "huffman" in spec.systems else None
+    table = run_sweep(spec, sentences, models=models, codebook=codebook)
     csv_path = _out_path(cfg, f"sweep_{spec.axis}.csv")
     json_path = _out_path(cfg, f"sweep_{spec.axis}.json")
     emit_results(table, csv_path, "csv")
@@ -300,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="override the output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key (repeatable)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel workers for sweep trials")
 
     p = sub.add_parser("prepare", help="build vocabulary, filtered corpus, char stats")
     common(p)
@@ -311,8 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transmit", help="send one sentence through a system")
     common(p)
     p.add_argument("--sentence", required=True, help="input sentence text")
-    p.add_argument("--system", default="deep",
-                   choices=["deep", "gzip-batch", "huffman", "fixed5"])
+    p.add_argument("--system", default="deep", choices=SYSTEMS)
     p.add_argument("--checkpoint", metavar="PATH", help="deep model checkpoint")
     p = sub.add_parser("sweep", help="run the configured WER sweep")
     common(p)

@@ -62,17 +62,13 @@ DEFAULTS: dict = {
     "sweep.checkpoints": [],
 }
 
-_INT_KEYS = {
-    "seed", "corpus.vocab_size", "corpus.min_len", "corpus.max_len",
-    "model.embed_dim", "model.encoder_stacks", "model.encoder_hidden",
-    "model.decoder_stacks", "model.decoder_hidden", "model.bits",
-    "model.beam_width", "model.max_decode_len", "train.batch_size",
-    "train.epochs", "train.checkpoint_every", "train.wer_sample",
-    "baseline.lz_batch", "sweep.trials",
-}
-_FLOAT_KEYS = {
-    "corpus.max_unk_frac", "train.lr", "train.clip", "train.tf_min",
-    "channel.erasure_prob",
+# Accepted value types, and their name, by the type of a key's default.
+_ACCEPTS = {
+    type(None): ((str, type(None)), "a string or null"),
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    list: (list, "an array"),
 }
 
 
@@ -90,15 +86,12 @@ class RunConfig:
 
     def validate(self) -> None:
         v = self.values
-        for key in v:
+        for key, value in v.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-        for key in _INT_KEYS:
-            if not isinstance(v[key], int) or isinstance(v[key], bool):
-                raise ConfigError(f"{key} must be an integer, got {v[key]!r}")
-        for key in _FLOAT_KEYS:
-            if not isinstance(v[key], (int, float)) or isinstance(v[key], bool):
-                raise ConfigError(f"{key} must be a number, got {v[key]!r}")
+            accepted, want = _ACCEPTS[type(DEFAULTS[key])]
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be {want}, got {value!r}")
         if v["model.bits"] % 2 != 0 or v["model.bits"] < 2:
             raise ConfigError(f"model.bits must be even and >= 2, got {v['model.bits']}")
         if not 0.0 <= v["channel.erasure_prob"] < 1.0:
@@ -108,12 +101,8 @@ class RunConfig:
             raise ConfigError(f"unknown baseline.fec_mode {v['baseline.fec_mode']!r}")
         if v["train.precision"] not in ("f32", "f64"):
             raise ConfigError(f"train.precision must be f32 or f64")
-        if not isinstance(v["sweep.values"], list) or not v["sweep.values"]:
+        if not v["sweep.values"]:
             raise ConfigError("sweep.values must be a nonempty array")
-        if not isinstance(v["sweep.systems"], list):
-            raise ConfigError("sweep.systems must be an array")
-        if not isinstance(v["sweep.checkpoints"], list):
-            raise ConfigError("sweep.checkpoints must be an array of paths")
 
     # ----- derived objects -----
 

@@ -54,10 +54,13 @@ class Vocabulary:
         try:
             with open(path, encoding="utf-8") as fh:
                 tokens = fh.read().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read vocabulary file {path}: {exc}") from exc
         if tuple(tokens[:4]) != SPECIALS:
             raise DomainError(f"vocabulary file {path} lacks the special token header")
+        for n, token in enumerate(tokens[4:], start=5):
+            if token.split() != [token]:
+                raise IoError(f"vocabulary file {path} line {n}: {token!r} is not a token")
         return cls(tokens[4:])
 
 
@@ -101,13 +104,14 @@ class CharFrequencyTable:
         counts: dict[str, int] = {}
         try:
             with open(path, encoding="utf-8") as fh:
-                for line in fh.read().splitlines():
-                    if not line:
-                        continue
-                    ch, n = line.split("\t")
-                    counts[ch] = int(n)
-        except OSError as exc:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read frequency table {path}: {exc}") from exc
+        for line in filter(None, lines):
+            ch, _, n = line.rpartition("\t")
+            if len(ch) != 1 or not n.isdecimal():
+                raise IoError(f"frequency table {path}: malformed line {line!r}")
+            counts[ch] = int(n)
         return cls(counts)
 
 

@@ -108,7 +108,3 @@ def lz_compress(texts: list[str]) -> np.ndarray:
 def lz_decompress(bits: np.ndarray) -> list[str]:
     return decompress_bytes(bits).decode("utf-8").split("\n")
 
-
-def amortized_bits(texts: list[str]) -> float:
-    """Per-sentence cost when the batch is compressed jointly."""
-    return lz_compress(texts).size / len(texts)

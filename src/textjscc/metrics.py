@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
@@ -28,26 +27,3 @@ def wer(reference: Sequence, hypothesis: Sequence) -> float:
         raise DomainError("WER reference must be nonempty")
     return levenshtein(reference, hypothesis) / len(reference)
 
-
-@dataclass
-class WerReport:
-    """Per-sentence and aggregate WER for one experiment configuration."""
-
-    distances: list[int]
-    ref_lengths: list[int]
-    wers: list[float]
-    mean_wer: float
-    decode_failures: int = 0
-
-    @classmethod
-    def from_pairs(cls, pairs, decode_failures: int = 0) -> "WerReport":
-        """Build from (reference, hypothesis) sequence pairs."""
-        distances, lengths, wers = [], [], []
-        for ref, hyp in pairs:
-            d = levenshtein(ref, hyp)
-            distances.append(d)
-            lengths.append(len(ref))
-            wers.append(wer(ref, hyp))
-        if not wers:
-            raise DomainError("WerReport needs at least one sentence pair")
-        return cls(distances, lengths, wers, sum(wers) / len(wers), decode_failures)

@@ -82,11 +82,6 @@ def binarize_deterministic(x: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(x) >= 0.0, 1, -1).astype(np.int8)
 
 
-def binarizer_backward(upstream_grad: np.ndarray) -> np.ndarray:
-    """Straight-through estimator: gradients pass unchanged."""
-    return upstream_grad
-
-
 @dataclass
 class BeamHypothesis:
     tokens: list[int]
@@ -155,14 +150,6 @@ class JsccModel:
         return self._params
 
     # ---------------- encoder ----------------
-
-    def embed_sentence(self, ids) -> np.ndarray:
-        """Columns [e_1 ... e_m, e_eos]; shape (embed_dim, m+1)."""
-        ids = list(ids) + [EOS_ID]
-        for i in ids:
-            if not 0 <= i < self.config.vocab_size:
-                raise IndexError(f"token id {i} outside vocabulary")
-        return self.embed.value[ids].T
 
     def _embed_steps(self, ids_batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-step (embed_dim, B) inputs for a homogeneous id batch, EOS appended."""
@@ -256,8 +243,7 @@ class JsccModel:
         """Straight-through into the bottleneck and down the encoder."""
         cache, ids_full = enc_cache
         half = self.config.bits // 2
-        d_real = binarizer_backward(d_bits)
-        self._encoder_backward(cache, d_real[:half], d_real[half:], ids_full)
+        self._encoder_backward(cache, d_bits[:half], d_bits[half:], ids_full)
 
     # ---------------- decoder ----------------
 

@@ -1,4 +1,4 @@
-"""Optimizers: Adam and plain SGD, with global-norm gradient clipping."""
+"""Adam with global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -51,11 +51,3 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         p.value -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
         p.zero_grad()
 
-
-def sgd_step(params: list[Parameter], lr: float, clip: float = 5.0) -> None:
-    """Plain gradient descent; gradients are then zeroed."""
-    if clip:
-        clip_global_norm(params, clip)
-    for p in params:
-        p.value -= lr * p.grad
-        p.zero_grad()

@@ -3,8 +3,10 @@
 Systems under test: the trained deep codec and three separate
 source/channel-coding baselines (batched LZSS, character Huffman, fixed
 5-bit), all sharing the same erasure channel and per-sentence bit budget.
-Results are deterministic functions of (spec, seed): every trial and every
-sentence transmission draws from its own derived RNG stream.
+encode_group and transmit_group are the one place that says how a baseline
+encodes, spends its budget and decodes; run_sweep and the `transmit` command
+both go through them.  Results are deterministic functions of (spec, seed):
+every trial and every transmission draws from its own derived RNG stream.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import encode_batch_with_budget, encode_with_budget
+from .budget import BudgetedEncoding, encode_batch_with_budget, encode_with_budget
 from .channel import ChannelConfig, erase
 from .corpus import TokenizedSentence
 from .errors import ConfigError, DecodeFailure, DomainError, IoError
-from .fec import plan_budget, transmit_baseline
+from .fec import FecPlan, plan_budget, transmit_baseline
 from .fixed5 import fixed5_decode, fixed5_encode
 from .huffman import HuffmanCodebook, huffman_decode, huffman_encode
-from .lzss import lz_compress, lz_decompress
+from .lzss import lz_decompress
 from .metrics import wer
 from .model import JsccModel
 
@@ -97,67 +99,66 @@ def _eval_deep(model: JsccModel, sents: Sequence[TokenizedSentence], p_d: float,
     return trial_means
 
 
-def _eval_per_sentence_codec(system: str, codebook: HuffmanCodebook | None,
-                             sents: Sequence[TokenizedSentence], bits: int, p_d: float,
-                             spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
-    plan = plan_budget(bits, p_d, spec.fec_mode)
+def encode_group(system: str, codebook: HuffmanCodebook | None,
+                 group: Sequence[Sequence[str]], source_bits: int) -> BudgetedEncoding:
+    """Source-encode a group of sentences under a per-sentence bit budget.
+
+    huffman and fixed5 take one sentence per group and drop its trailing
+    words until it fits; gzip-batch compresses the group as one LZSS stream
+    and truncates its longest members until the stream fits source_bits per
+    sentence.  words_dropped is the total over the group.
+    """
+    if system == "gzip-batch":
+        bbe = encode_batch_with_budget(group, source_bits)
+        return BudgetedEncoding(bbe.bits, sum(bbe.words_dropped), bbe.fits)
     if system == "huffman":
         if codebook is None:
             raise ConfigError("huffman baseline needs a codebook")
-        encode = lambda text: huffman_encode(text, codebook)
-        decode = lambda b: huffman_decode(b, codebook)
-    else:
-        encode, decode = fixed5_encode, fixed5_decode
-    encoded = [encode_with_budget(s.words(), encode, plan.source_bits) for s in sents]
+        return encode_with_budget(group[0], lambda text: huffman_encode(text, codebook),
+                                  source_bits)
+    if system == "fixed5":
+        return encode_with_budget(group[0], fixed5_encode, source_bits)
+    raise ConfigError(f"unknown baseline system {system!r}")
+
+
+def transmit_group(system: str, codebook: HuffmanCodebook | None, bits: np.ndarray,
+                   plan: FecPlan, cfg: ChannelConfig,
+                   rng: np.random.Generator) -> list[list[str]]:
+    """Carry an encoded group across the channel under `plan` and decode it
+    into one word list per sentence; DecodeFailure propagates."""
+    out_bits = transmit_baseline(bits, plan, cfg, rng)
+    if system == "gzip-batch":
+        return [t.split() for t in lz_decompress(out_bits)]
+    if system == "huffman":
+        return [huffman_decode(out_bits, codebook).split()]
+    return [fixed5_decode(out_bits).split()]
+
+
+def _eval_baseline(system: str, codebook: HuffmanCodebook | None,
+                   sents: Sequence[TokenizedSentence], bits: int, p_d: float,
+                   spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
+    size = spec.lz_batch if system == "gzip-batch" else 1
+    groups = [[s.words() for s in sents[i:i + size]] for i in range(0, len(sents), size)]
+    # a group is one transmission under a plan for its whole budget
+    plans = {1: plan_budget(bits, p_d, spec.fec_mode)}
+    encoded = [encode_group(system, codebook, refs, plans[1].source_bits) for refs in groups]
     cfg = ChannelConfig(p_d=p_d, seed=0)
     trial_means = []
     for trial in range(spec.trials):
         wers = []
-        for si, (sent, be) in enumerate(zip(sents, encoded)):
-            ref = sent.words()
-            if not be.fits:
-                wers.append(wer(ref, []))
-                continue
-            rng = _rng(spec.seed, axis_idx, sys_idx, trial, si)
-            try:
-                out_bits = transmit_baseline(be.bits, plan, cfg, rng)
-                hyp = decode(out_bits).split()
-            except DecodeFailure:
-                hyp = []
-            wers.append(wer(ref, hyp))
-        trial_means.append(sum(wers) / len(wers))
-    return trial_means
-
-
-def _eval_lz_batch(sents: Sequence[TokenizedSentence], bits: int, p_d: float,
-                   spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
-    plan = plan_budget(bits, p_d, spec.fec_mode)
-    batches = [list(range(i, min(i + spec.lz_batch, len(sents))))
-               for i in range(0, len(sents), spec.lz_batch)]
-    encoded = []
-    for members in batches:
-        words = [sents[i].words() for i in members]
-        encoded.append(encode_batch_with_budget(words, plan.source_bits))
-    trial_means = []
-    for trial in range(spec.trials):
-        wers = []
-        for bi, (members, bbe) in enumerate(zip(batches, encoded)):
-            refs = [sents[i].words() for i in members]
-            if not bbe.fits:
-                wers.extend(wer(ref, []) for ref in refs)
-                continue
-            # the batch stream is one transmission under a batch-sized plan
-            batch_plan = plan_budget(bits * len(members), p_d, spec.fec_mode)
-            cfg = ChannelConfig(p_d=p_d, seed=0)
-            rng = _rng(spec.seed, axis_idx, sys_idx, trial, bi)
-            try:
-                out_bits = transmit_baseline(bbe.bits, batch_plan, cfg, rng)
-                texts = lz_decompress(out_bits)
-                hyps = [t.split() for t in texts]
-            except DecodeFailure:
-                hyps = [[] for _ in refs]
+        for gi, (refs, enc) in enumerate(zip(groups, encoded)):
+            hyps = []
+            if enc.fits:
+                if len(refs) not in plans:
+                    plans[len(refs)] = plan_budget(bits * len(refs), p_d, spec.fec_mode)
+                rng = _rng(spec.seed, axis_idx, sys_idx, trial, gi)
+                try:
+                    hyps = transmit_group(system, codebook, enc.bits, plans[len(refs)],
+                                          cfg, rng)
+                except DecodeFailure:
+                    pass
             if len(hyps) != len(refs):
-                hyps = [[] for _ in refs]  # corrupted frame: score everything errored
+                hyps = [[] for _ in refs]  # lost or corrupted frame: every member errored
             wers.extend(wer(ref, hyp) for ref, hyp in zip(refs, hyps))
         trial_means.append(sum(wers) / len(wers))
     return trial_means
@@ -165,15 +166,14 @@ def _eval_lz_batch(sents: Sequence[TokenizedSentence], bits: int, p_d: float,
 
 def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
               models: dict[int, JsccModel] | None = None,
-              codebook: HuffmanCodebook | None = None,
-              jobs: int = 1) -> list[SweepResult]:
+              codebook: HuffmanCodebook | None = None) -> list[SweepResult]:
     """Transmit the test set at every axis value for every system.
 
     For the deep system, `models` maps each bit budget to a trained model;
-    a missing budget raises ConfigError.  jobs > 1 evaluates the
-    (axis value, system) cells in a thread pool; per-cell RNG streams are
-    derived from (seed, axis index, system index, trial, transmission), so
-    the output is identical to the sequential run.
+    a missing budget raises ConfigError.  The baselines go through
+    encode_group/transmit_group.  Every transmission draws from its own RNG
+    stream, derived from (seed, axis index, system index, trial, sentence or
+    LZ batch index).
     """
     if not sentences:
         raise ConfigError("sweep needs a nonempty test set")
@@ -196,24 +196,16 @@ def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
                 raise ConfigError(f"no trained checkpoint for bit budget {bits}")
             cells.append((axis_idx, value, sys_idx, system, bits, p_d, sents))
 
-    def evaluate(cell) -> SweepResult:
-        axis_idx, value, sys_idx, system, bits, p_d, sents = cell
+    table = []
+    for axis_idx, value, sys_idx, system, bits, p_d, sents in cells:
         if system == "deep":
             trial_means = _eval_deep(models[bits], sents, p_d, spec, axis_idx, sys_idx)
-        elif system == "gzip-batch":
-            trial_means = _eval_lz_batch(sents, bits, p_d, spec, axis_idx, sys_idx)
         else:
-            trial_means = _eval_per_sentence_codec(
-                system, codebook, sents, bits, p_d, spec, axis_idx, sys_idx)
+            trial_means = _eval_baseline(system, codebook, sents, bits, p_d,
+                                         spec, axis_idx, sys_idx)
         mean, stderr = _trial_stats(trial_means)
-        return SweepResult(float(value), system, mean, stderr, spec.trials, spec.seed)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(evaluate, cells))
-    return [evaluate(cell) for cell in cells]
+        table.append(SweepResult(float(value), system, mean, stderr, spec.trials, spec.seed))
+    return table
 
 
 COLUMNS = ("axis_value", "system", "mean_wer", "stderr", "trials", "seed")

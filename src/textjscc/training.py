@@ -125,9 +125,3 @@ class Trainer:
                 on_epoch(log)
         return logs
 
-
-def train(model: JsccModel, sentences: list[TokenizedSentence], plan: BatchPlan,
-          epochs: int, settings: TrainSettings | None = None) -> list[EpochLog]:
-    """One-shot convenience wrapper around Trainer."""
-    trainer = Trainer(model, settings or TrainSettings())
-    return trainer.run(sentences, plan, epochs)

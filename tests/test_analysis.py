@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from textjscc.analysis import classical_mds, hamming_matrix, jacobi_eigh, pairwise_distances
+from textjscc.analysis import classical_mds, hamming_matrix, pairwise_distances
 from textjscc.errors import DomainError, ShapeError
 
 
@@ -33,25 +33,6 @@ class TestHammingMatrix:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             hamming_matrix(np.array([1, -1, 1]))
-
-
-class TestJacobi:
-    def test_matches_numpy_eigh(self):
-        rng = np.random.default_rng(1)
-        for n in (2, 3, 5, 8):
-            M = rng.normal(size=(n, n))
-            A = (M + M.T) / 2
-            evals, evecs = jacobi_eigh(A)
-            ref = np.sort(np.linalg.eigvalsh(A))[::-1]
-            assert np.allclose(evals, ref, atol=1e-9)
-            # eigenvector property: A v = lambda v
-            for k in range(n):
-                assert np.allclose(A @ evecs[:, k], evals[k] * evecs[:, k], atol=1e-8)
-
-    def test_zero_matrix(self):
-        evals, evecs = jacobi_eigh(np.zeros((3, 3)))
-        assert np.all(evals == 0)
-        assert np.allclose(evecs @ evecs.T, np.eye(3))
 
 
 class TestClassicalMds:

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from textjscc.channel import ERASED, ChannelConfig, erase, erase_at, erase_bitstream
+from textjscc.channel import ERASED, ChannelConfig, erase, erase_bitstream
 from textjscc.errors import DomainError
+
+
+def erase_at(codeword, positions):
+    """Deterministically zero exactly the given positions."""
+    cw = np.asarray(codeword).copy().astype(np.int8)
+    for p in positions:
+        if not 0 <= p < cw.shape[0]:
+            raise IndexError(f"erase position {p} outside [0, {cw.shape[0]})")
+        cw[p] = 0
+    return cw
 
 
 def random_codeword(rng, n):

@@ -6,6 +6,7 @@ import pytest
 
 from textjscc import cli
 from textjscc.checkpoint import load_model
+from textjscc.config import DEFAULTS
 from textjscc.corpus import SPECIALS, Vocabulary
 from textjscc.model import JsccConfig, JsccModel
 
@@ -81,6 +82,23 @@ class TestFlags:
         tmp, out, base = workdir
         assert run(["prepare", "--set", "no.such.key=1"] + base) == 2
         assert "no.such.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [k for k, v in DEFAULTS.items()
+                                     if isinstance(v, (int, float))])
+    def test_non_number_exits_2(self, workdir, capsys, key):
+        tmp, out, base = workdir
+        assert run(["prepare"] + base + ["--set", f"{key}=abc"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["3", "[a]", "true"])
+    def test_path_key_takes_string_or_null(self, workdir, value):
+        tmp, out, base = workdir
+        assert run(["prepare"] + base + ["--set", f"model.glove={value}"]) == 2
+        assert run(["prepare"] + base + ["--set", "model.glove=null"]) == 0
+
+    def test_jobs_is_unknown_flag(self, workdir):
+        tmp, out, base = workdir
+        assert run(["sweep", "--jobs", "2"] + base) == 2
 
     def test_bad_model_bits_exits_2(self, workdir):
         tmp, out, base = workdir
@@ -191,6 +209,16 @@ class TestTransmit:
                         "--system", system] + base)
             assert code == 0
             assert "wer: 0.0000" in capsys.readouterr().out
+
+    def test_corrupt_frequency_table_exits_3(self, workdir, capsys):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        (out / "charfreq.tsv").write_text("e\tmany\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run(["transmit", "--sentence", "the cat sat on the mat .",
+                    "--system", "huffman"] + base)
+        assert code == 3
+        assert "charfreq.tsv" in capsys.readouterr().err
 
     def test_deep_system_runs(self, workdir, capsys):
         tmp, out, base = workdir

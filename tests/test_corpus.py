@@ -16,7 +16,7 @@ from textjscc.corpus import (
     filter_sentences,
     tokenize,
 )
-from textjscc.errors import DomainError, EmptyCorpus
+from textjscc.errors import DomainError, EmptyCorpus, IoError
 
 
 class TestBuildVocabulary:
@@ -179,3 +179,31 @@ class TestFiles:
         assert counts == sorted(counts, reverse=True)
         again = CharFrequencyTable.load(path)
         assert again.counts == table.counts
+
+    @pytest.mark.parametrize("text", ["a\t3\nb\n", "a\tx\n", "ab\t3\n", "a\t-1\n", "\t\n"])
+    def test_freq_table_malformed_line(self, tmp_path, text):
+        path = tmp_path / "charfreq.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IoError):
+            CharFrequencyTable.load(str(path))
+
+    def test_freq_table_tab_character(self, tmp_path):
+        path = str(tmp_path / "charfreq.tsv")
+        CharFrequencyTable({"\t": 2, "a": 1}).save(path)
+        assert CharFrequencyTable.load(path).counts == {"\t": 2, "a": 1}
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "charfreq.tsv"])
+    def test_non_utf8_is_io_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(s.encode() for s in SPECIALS) + b"\n\xff\xfe\t1\n")
+        load = Vocabulary.load if name == "vocab.txt" else CharFrequencyTable.load
+        with pytest.raises(IoError):
+            load(str(path))
+
+    @pytest.mark.parametrize("token", ["", "two words"])
+    def test_vocab_malformed_line(self, tmp_path, token):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(list(SPECIALS) + ["the", token, "cat"]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(IoError):
+            Vocabulary.load(str(path))

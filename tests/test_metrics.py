@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from textjscc.errors import DomainError
-from textjscc.metrics import WerReport, levenshtein, wer
+from textjscc.metrics import levenshtein, wer
 
 
 def naive_levenshtein(a, b):
@@ -63,12 +63,3 @@ class TestWer:
 
     def test_can_exceed_one(self):
         assert wer([1], [2, 3, 4]) > 1.0
-
-
-class TestWerReport:
-    def test_mean_is_arithmetic_mean(self):
-        pairs = [([1, 2], [1, 2]), ([1, 2], [9, 9])]
-        report = WerReport.from_pairs(pairs)
-        assert report.mean_wer == pytest.approx((0.0 + 1.0) / 2)
-        assert report.distances == [0, 2]
-        assert report.ref_lengths == [2, 2]

@@ -11,7 +11,6 @@ from textjscc.model import (
     JsccModel,
     binarize_deterministic,
     binarize_stochastic,
-    binarizer_backward,
 )
 from textjscc.nn import softmax
 
@@ -76,36 +75,6 @@ class TestBinarizers:
         assert binarize_deterministic(np.array([0.3]))[0] == 1
         assert binarize_deterministic(np.array([-0.2]))[0] == -1
         assert binarize_deterministic(np.array([0.0]))[0] == 1
-
-    def test_backward_is_identity(self):
-        g = np.random.default_rng(3).normal(size=(4, 2))
-        assert np.array_equal(binarizer_backward(g), g)
-        assert np.all(binarizer_backward(np.zeros(3)) == 0)
-
-
-class TestEmbedSentence:
-    def test_appends_eos_column(self):
-        model = JsccModel(tiny_config(), seed=0)
-        E = model.embed_sentence([4, 5, 6, 7, 8])
-        assert E.shape == (6, 6)
-        assert np.allclose(E[:, -1], model.embed.value[EOS_ID])
-
-    def test_empty_sentence_single_eos(self):
-        model = JsccModel(tiny_config(), seed=0)
-        assert model.embed_sentence([]).shape == (6, 1)
-
-    def test_single_word_difference(self):
-        model = JsccModel(tiny_config(), seed=0)
-        a = model.embed_sentence([4, 5, 6])
-        b = model.embed_sentence([4, 9, 6])
-        diff = np.abs(a - b).sum(axis=0)
-        assert diff[1] > 0
-        assert diff[0] == 0 and diff[2] == 0 and diff[3] == 0
-
-    def test_invalid_id(self):
-        model = JsccModel(tiny_config(), seed=0)
-        with pytest.raises(IndexError):
-            model.embed_sentence([99])
 
 
 class TestEncode:

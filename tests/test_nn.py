@@ -21,7 +21,7 @@ from textjscc.nn import (
     softmax,
     softmax_cross_entropy,
 )
-from textjscc.optim import AdamState, adam_step, clip_global_norm, sgd_step
+from textjscc.optim import AdamState, adam_step, clip_global_norm
 
 
 def param(values, name="p"):
@@ -199,18 +199,6 @@ class TestOptimizers:
         adam_step([p], state)
         assert p.value.tolist() == [[1.0, 2.0]]
 
-    def test_zero_grad_noop_sgd(self):
-        p = param([[3.0]])
-        sgd_step([p], lr=1.0)
-        assert p.value.tolist() == [[3.0]]
-
-    def test_sgd_subtracts_gradient(self):
-        p = param([[1.0, -1.0]])
-        p.grad[...] = [[0.5, 0.25]]
-        sgd_step([p], lr=1.0)
-        assert p.value.tolist() == [[0.5, -1.25]]
-        assert np.all(p.grad == 0)
-
     def test_adam_first_step_is_minus_lr(self):
         p = param([[0.0]])
         p.grad[...] = 1.0
@@ -224,12 +212,6 @@ class TestOptimizers:
         norm = clip_global_norm([p], 2.5)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(2.5)
-
-    def test_clipping_applied_before_sgd(self):
-        p = param([[0.0]])
-        p.grad[...] = 100.0
-        sgd_step([p], lr=1.0, clip=5.0)
-        assert p.value[0, 0] == pytest.approx(-5.0)
 
 
 class TestGradientCheckHarness:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from textjscc.budget import encode_with_budget
+from textjscc.budget import encode_batch_with_budget, encode_with_budget
 from textjscc.corpus import build_vocabulary, char_frequencies, tokenize
 from textjscc.errors import ConfigError
 from textjscc.fec import plan_budget
@@ -85,6 +85,22 @@ class TestRunSweep:
             for s in sents])
         assert row.mean_wer == pytest.approx(float(expected))
 
+    def test_gzip_batch_wer_equals_truncation_law(self, corpus):
+        """Batches of 3 over 8 sentences leave a partial last batch of 2."""
+        _, sents, book = corpus
+        bits, p_d = 60, 0.05
+        spec = SweepSpec(axis="bits_per_sentence", values=[bits], systems=["gzip-batch"],
+                         trials=2, seed=3, erasure_rate=p_d, lz_batch=3)
+        (row,) = run_sweep(spec, sents, codebook=book)
+        budget = plan_budget(bits, p_d, "idealized").source_bits
+        laws = []
+        for i in range(0, len(sents), 3):
+            words = [s.words() for s in sents[i:i + 3]]
+            enc = encode_batch_with_budget(words, budget)
+            laws += [d / len(w) if enc.fits else 1.0 for d, w in zip(enc.words_dropped, words)]
+        assert 0.0 < row.mean_wer < 1.0
+        assert row.mean_wer == pytest.approx(float(np.mean(laws)))
+
     def test_deterministic(self, corpus):
         _, sents, book = corpus
         spec = SweepSpec(axis="erasure_rate", values=[0.0, 0.1], systems=["fixed5"],
@@ -92,13 +108,6 @@ class TestRunSweep:
         a = run_sweep(spec, sents, codebook=book)
         b = run_sweep(spec, sents, codebook=book)
         assert a == b
-
-    def test_jobs_parallelism_identical(self, corpus):
-        _, sents, book = corpus
-        spec = SweepSpec(axis="bits_per_sentence", values=[100, 200],
-                         systems=["huffman", "fixed5"], trials=2, seed=4)
-        assert run_sweep(spec, sents, codebook=book) == run_sweep(
-            spec, sents, codebook=book, jobs=4)
 
     def test_deep_system_missing_model(self, corpus):
         _, sents, _ = corpus

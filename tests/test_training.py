@@ -3,8 +3,9 @@ import pytest
 
 from textjscc.checkpoint import load_model, read_checkpoint, restore_adam, save_checkpoint
 from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
+from textjscc.errors import IoError
 from textjscc.model import JsccConfig, JsccModel
-from textjscc.training import Trainer, TrainSettings, tf_schedule, train
+from textjscc.training import Trainer, TrainSettings, tf_schedule
 
 
 def toy_corpus(n=8, seed=7):
@@ -43,7 +44,7 @@ class TestTrainer:
         model = small_model(len(vocab))
         before = [p.value.copy() for p in model.parameters()]
         plan = batch_by_length(toks, 8)
-        logs = train(model, toks, plan, epochs=0)
+        logs = Trainer(model, TrainSettings()).run(toks, plan, 0)
         assert logs == []
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p.value, b)
@@ -96,6 +97,43 @@ class TestCheckpoint:
             assert fh.read(6) == b"TJSCC1"
         _, _, blobs = read_checkpoint(path)
         assert list(blobs)[: len(model.parameters())] == [p.name for p in model.parameters()]
+
+    def test_every_truncation_is_io_error(self, tmp_path):
+        config = JsccConfig(vocab_size=6, embed_dim=2, encoder_stacks=1, encoder_hidden=2,
+                            decoder_stacks=1, decoder_hidden=2, bits=4, beam_width=1,
+                            max_decode_len=3)
+        path = tmp_path / "model.tjscc"
+        save_checkpoint(str(path), JsccModel(config))
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.tjscc"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(IoError):
+                read_checkpoint(str(cut))
+        cut.write_bytes(blob + b"\0")
+        with pytest.raises(IoError, match="trailing"):
+            read_checkpoint(str(cut))
+
+    @pytest.mark.parametrize("offset,value", [(6, 5), (6, 0), (11, ord("]"))])
+    def test_bad_precision_byte_or_header_is_io_error(self, tmp_path, offset, value):
+        vocab, _ = toy_corpus()
+        path = tmp_path / "model.tjscc"
+        save_checkpoint(str(path), small_model(len(vocab)))
+        blob = bytearray(path.read_bytes())
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IoError):
+            load_model(str(path))
+
+    def test_missing_optimizer_state_is_io_error(self, tmp_path):
+        vocab, _ = toy_corpus()
+        model = small_model(len(vocab))
+        path = str(tmp_path / "model.tjscc")
+        save_checkpoint(path, model)
+        again, extra = load_model(path)
+        extra["has_adam"] = True
+        with pytest.raises(IoError, match="adam.m"):
+            restore_adam(again, extra, 1e-3, 5.0)
 
     def test_resume_matches_unbroken_run(self, tmp_path):
         """6 epochs straight == 3 epochs + checkpoint + 3 resumed epochs."""
