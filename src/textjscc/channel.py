@@ -26,8 +26,7 @@ class ChannelConfig:
             raise DomainError(f"erasure probability {self.p_d} outside [0, 1]")
 
     def stream(self, index: int) -> np.random.Generator:
-        """Independent RNG stream for transmission `index`; reproducible and
-        race-free under parallel sweeps."""
+        """Independent, reproducible RNG stream for transmission `index`."""
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
 
 

@@ -1,11 +1,13 @@
 """Versioned binary checkpoint container.
 
 Layout (all integers little-endian):
-  magic "TJSCC1" | precision byte (4 or 8) | u32 json length | config json |
+  magic "TJSCC2" | precision byte (4 or 8) | u32 json length | config json |
   u32 blob count | blobs.
 Each blob: u16 name length, utf-8 name, u32 rows, u32 cols, raw values.
-Model parameters appear first, in declaration order; optimizer moments (if
-saved) follow as adam.m.* / adam.v.* blobs.
+Model parameters appear first, in declaration order; each LSTM cell is four
+blobs <prefix>.Wx, .Wh, .b and .p in the stacked-gate layout of nn.py.
+Optimizer moments (if saved) follow as adam.m.* / adam.v.* blobs.  TJSCC1
+files, which held fifteen per-gate arrays per cell, are rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import IoError, ShapeError
 from .model import JsccConfig, JsccModel
 from .optim import AdamState
 
-MAGIC = b"TJSCC1"
+MAGIC = b"TJSCC2"
 
 
 def _write_blob(fh, name: str, arr: np.ndarray) -> None:
@@ -74,6 +76,9 @@ def read_checkpoint(path: str) -> tuple[JsccConfig, dict, dict[str, np.ndarray]]
             data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    if data[:6] == b"TJSCC1":
+        raise IoError(f"{path} holds the retired TJSCC1 layout of fifteen per-gate "
+                      "arrays per LSTM cell; retrain to write a TJSCC2 checkpoint")
     if data[:6] != MAGIC:
         raise IoError(f"{path} is not a checkpoint (bad magic)")
     pos = 6

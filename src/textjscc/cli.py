@@ -36,7 +36,7 @@ from .corpus import (
     filter_sentences,
     tokenize,
 )
-from .errors import ConfigError, IoError, TextJsccError
+from .errors import ConfigError, DecodeFailure, IoError, TextJsccError
 from .fec import plan_budget
 from .gradcheck import run_verification_suite
 from .huffman import HuffmanCodebook, codebook_for_pipeline
@@ -182,11 +182,15 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
     words = sent.words()
     codebook = _codebook(cfg) if args.system == "huffman" else None
     enc = encode_group(args.system, codebook, [words], plan.source_bits)
-    (hyp,) = transmit_group(args.system, codebook, enc.bits, plan, channel_cfg,
-                            channel_cfg.stream(0))
     print(f"payload bits: {enc.bits.size} (source budget {plan.source_bits}, "
           f"parity reserve {plan.parity_bits})")
     print(f"words dropped to fit: {enc.words_dropped}")
+    try:
+        (hyp,) = transmit_group(args.system, codebook, enc.bits, plan, channel_cfg,
+                                channel_cfg.stream(0))
+    except DecodeFailure as exc:  # a channel outcome: the frame is lost
+        print(f"decode failure: {exc}")
+        hyp = []
     print(f"decoded: {' '.join(hyp)}")
     print(f"wer: {wer(words, hyp):.4f}")
     return 0

@@ -207,24 +207,6 @@ def _split_blocks(k_total: int, q: float) -> list[tuple[int, int]] | None:
     return blocks
 
 
-def _bits_to_symbols(bits: np.ndarray) -> list[int]:
-    out = []
-    for i in range(0, bits.size, 8):
-        byte = 0
-        for k in range(8):
-            byte = (byte << 1) | int(bits[i + k])
-        out.append(byte)
-    return out
-
-
-def _symbols_to_bits(symbols: Sequence[int]) -> np.ndarray:
-    bits = np.zeros(8 * len(symbols), dtype=np.uint8)
-    for i, s in enumerate(symbols):
-        for k in range(8):
-            bits[8 * i + k] = (s >> (7 - k)) & 1
-    return bits
-
-
 def transmit_baseline(
     sentence_bits: np.ndarray,
     plan: FecPlan,
@@ -254,7 +236,7 @@ def transmit_baseline(
     k_total = sum(k for _, k in plan.blocks)
     padded = np.zeros(8 * k_total, dtype=np.uint8)
     padded[: sentence_bits.size] = sentence_bits
-    data_symbols = _bits_to_symbols(padded)
+    data_symbols = np.packbits(padded).tolist()
 
     recovered: list[int] = []
     offset = 0
@@ -262,17 +244,12 @@ def transmit_baseline(
         block = data_symbols[offset : offset + k]
         offset += k
         codeword = rs_encode(block, RsCode(n, k))
-        tx_bits = _symbols_to_bits(codeword)
-        rx = erase_bitstream(tx_bits, cfg, rng)
-        symbols = []
-        erasures = []
-        for i in range(n):
-            chunk = rx[8 * i : 8 * (i + 1)]
-            if np.any(chunk == ERASED):
-                erasures.append(i)
-                symbols.append(0)
-            else:
-                symbols.append(_bits_to_symbols(chunk.astype(np.uint8))[0])
-        recovered.extend(rs_decode_erasures(symbols, erasures, RsCode(n, k)))
-    out_bits = _symbols_to_bits(recovered)
+        tx_bits = np.unpackbits(np.array(codeword, dtype=np.uint8))
+        rx = erase_bitstream(tx_bits, cfg, rng).reshape(n, 8)
+        erased = (rx == ERASED).any(axis=1)
+        # the decoder ignores the values it is told are erased
+        symbols = np.packbits(rx.astype(np.uint8), axis=1)[:, 0]
+        recovered.extend(rs_decode_erasures(symbols.tolist(), np.flatnonzero(erased).tolist(),
+                                            RsCode(n, k)))
+    out_bits = np.unpackbits(np.array(recovered, dtype=np.uint8))
     return out_bits[: sentence_bits.size]

@@ -22,12 +22,13 @@ from .errors import DomainError, IoError, ShapeError
 from .nn import (
     LstmCellParams,
     Parameter,
+    blstm_layer_backward,
+    blstm_layer_forward,
     dense_backward,
     dense_forward,
     glorot,
     lstm_cell_backward,
     lstm_cell_forward,
-    softmax,
     softmax_cross_entropy,
 )
 
@@ -167,8 +168,6 @@ class JsccModel:
     def _encoder_forward(self, xs: list[np.ndarray]):
         """Stacked BLSTMs then the two tanh bottleneck maps; returns
         (h_star, c_star, cache)."""
-        from .nn import blstm_layer_forward
-
         stack_caches = []
         lasts_h, lasts_c = [], []
         seq = xs
@@ -185,8 +184,6 @@ class JsccModel:
         return h_star, c_star, (stack_caches, cache_h, cache_c, len(xs))
 
     def _encoder_backward(self, cache, d_hstar, d_cstar, ids_full: np.ndarray) -> None:
-        from .nn import blstm_layer_backward
-
         stack_caches, cache_h, cache_c, T = cache
         dh_concat = dense_backward(cache_h, d_hstar)
         dc_concat = dense_backward(cache_c, d_cstar)
@@ -317,7 +314,7 @@ class JsccModel:
         states, init_caches = self.decoder_init(obs)
         input_ids = np.full(b, SOS_ID, dtype=np.int64)
         loss = 0.0
-        logits_steps, dlogits_steps, step_caches, inputs_used = [], [], [], []
+        logits_steps, dlogits_steps, step_caches, inputs_used, tops = [], [], [], [], []
         for t in range(T):
             x = self.embed.value[input_ids].T
             logits, states, caches = self._decoder_step(x, states)
@@ -327,6 +324,7 @@ class JsccModel:
             dlogits_steps.append(dlogits)
             step_caches.append(caches)
             inputs_used.append(input_ids)
+            tops.append(states[-1][0])
             if t + 1 < T:
                 predicted = logits.argmax(axis=0)
                 if tf_prob >= 1.0:
@@ -334,21 +332,19 @@ class JsccModel:
                 else:
                     coin = rng.random(b) < tf_prob
                     input_ids = np.where(coin, targets[:, t], predicted)
-        cache = (init_caches, step_caches, dlogits_steps, inputs_used)
+        cache = (init_caches, step_caches, dlogits_steps, inputs_used, tops)
         return loss, logits_steps, cache
 
     def decode_backward(self, cache) -> np.ndarray:
         """Backward through the decoder; returns dLoss/dObservation."""
-        init_caches, step_caches, dlogits_steps, inputs_used = cache
+        init_caches, step_caches, dlogits_steps, inputs_used, tops = cache
         n_stacks = len(self.decoder)
         rec_h = [None] * n_stacks
         rec_c = [None] * n_stacks
         for t in reversed(range(len(step_caches))):
             dlogits = dlogits_steps[t]
             caches = step_caches[t]
-            # cell cache is (x, h_prev, c_prev, i, f, g, o, c, tc); h = o * tc
-            h_top = caches[-1][6] * caches[-1][8]
-            self.W_out.grad += dlogits @ h_top.T
+            self.W_out.grad += dlogits @ tops[t].T
             self.b_out.grad += dlogits.sum(axis=1, keepdims=True)
             d_from_above = self.W_out.value.T @ dlogits
             for j in reversed(range(n_stacks)):
@@ -407,7 +403,9 @@ class JsccModel:
             for hyp in alive:
                 x = self.embed.value[[hyp.last_token]].T
                 logits, new_states, _ = self._decoder_step(x, hyp.states)
-                logprobs = np.log(softmax(logits)[:, 0])
+                # log-softmax without the softmax, so underflow stays finite
+                z = logits[:, 0] - logits.max()
+                logprobs = z - np.log(np.exp(z).sum())
                 for v in range(self.config.vocab_size):
                     candidates.append((hyp.logp + float(logprobs[v]), v, hyp, new_states))
             candidates.sort(key=lambda c: (-c[0], c[1], c[2].tokens))

@@ -12,6 +12,11 @@ Peephole recurrence (with sigma the logistic function):
     c = f * c_prev + i * g
     o = sigma(W_ox x + W_oh h + p_o * c + b_o)
     h = o * tanh(c)
+
+Each cell stores these in stacked-gate form (the cuDNN layout): Wx (4h, d)
+stacks W_ix, W_fx, W_gx, W_ox; Wh (4h, h) stacks W_ih, W_fh, W_gh, W_oh;
+b (4h, 1) stacks b_i, b_f, b_g, b_o; p (3h, 1) stacks p_i, p_f, p_o.  A step
+takes one product with each of Wx and Wh and reads the gates as row slices.
 """
 
 from __future__ import annotations
@@ -53,12 +58,10 @@ def zero_grads(params) -> None:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # tanh form: no exp to overflow for large |x|
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -87,38 +90,31 @@ def dense_backward(cache, dy: np.ndarray) -> np.ndarray:
 
 
 class LstmCellParams:
-    """Weights for one peephole LSTM cell."""
-
-    GATES = ("i", "f", "g", "o")
+    """Weights for one peephole LSTM cell in stacked-gate form (see module
+    docstring); the forget-gate bias starts at 1."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
                  dtype=np.float32, prefix: str = "lstm"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         h, d = hidden_dim, input_dim
-
-        def w(name, shape):
-            return Parameter(glorot(shape, rng, dtype), f"{prefix}.{name}")
-
-        def b(name, fill=0.0):
-            return Parameter(np.full((h, 1), fill, dtype=dtype), f"{prefix}.{name}")
-
-        self.W_ix, self.W_ih = w("W_ix", (h, d)), w("W_ih", (h, h))
-        self.p_i, self.b_i = w("p_i", (h, 1)), b("b_i")
-        self.W_fx, self.W_fh = w("W_fx", (h, d)), w("W_fh", (h, h))
-        self.p_f, self.b_f = w("p_f", (h, 1)), b("b_f", 1.0)  # open forget gate
-        self.W_gx, self.W_gh = w("W_gx", (h, d)), w("W_gh", (h, h))
-        self.b_g = b("b_g")
-        self.W_ox, self.W_oh = w("W_ox", (h, d)), w("W_oh", (h, h))
-        self.p_o, self.b_o = w("p_o", (h, 1)), b("b_o")
+        self.Wx = Parameter(np.empty((4 * h, d), dtype=dtype), f"{prefix}.Wx")
+        self.Wh = Parameter(np.empty((4 * h, h), dtype=dtype), f"{prefix}.Wh")
+        self.b = Parameter(np.zeros((4 * h, 1), dtype=dtype), f"{prefix}.b")
+        self.p = Parameter(np.empty((3 * h, 1), dtype=dtype), f"{prefix}.p")
+        self.b.value[h:2 * h] = 1.0  # open forget gate
+        # Per-gate Glorot blocks drawn in the order i, f, g, o (x, h, peephole),
+        # written into place: concatenating them would copy every weight again.
+        for k, gate in enumerate("ifgo"):
+            rows = slice(k * h, (k + 1) * h)
+            self.Wx.value[rows] = glorot((h, d), rng, dtype)
+            self.Wh.value[rows] = glorot((h, h), rng, dtype)
+            if gate != "g":  # g has no peephole
+                j = "ifo".index(gate)
+                self.p.value[j * h:(j + 1) * h] = glorot((h, 1), rng, dtype)
 
     def parameters(self) -> list[Parameter]:
-        return [
-            self.W_ix, self.W_ih, self.p_i, self.b_i,
-            self.W_fx, self.W_fh, self.p_f, self.b_f,
-            self.W_gx, self.W_gh, self.b_g,
-            self.W_ox, self.W_oh, self.p_o, self.b_o,
-        ]
+        return [self.Wx, self.Wh, self.b, self.p]
 
 
 def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
@@ -127,11 +123,19 @@ def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_pr
         raise ShapeError(f"cell input has {x.shape[0]} rows, expected {p.input_dim}")
     if h_prev.shape[0] != p.hidden_dim or c_prev.shape[0] != p.hidden_dim:
         raise ShapeError("cell state dims do not match hidden_dim")
-    i = sigmoid(p.W_ix.value @ x + p.W_ih.value @ h_prev + p.p_i.value * c_prev + p.b_i.value)
-    f = sigmoid(p.W_fx.value @ x + p.W_fh.value @ h_prev + p.p_f.value * c_prev + p.b_f.value)
-    g = np.tanh(p.W_gx.value @ x + p.W_gh.value @ h_prev + p.b_g.value)
+    n = p.hidden_dim
+    peep = p.p.value
+    z = p.Wx.value @ x
+    z += p.Wh.value @ h_prev
+    z += p.b.value
+    z[:n] += peep[:n] * c_prev
+    z[n:2 * n] += peep[n:2 * n] * c_prev
+    i = sigmoid(z[:n])
+    f = sigmoid(z[n:2 * n])
+    g = np.tanh(z[2 * n:3 * n])
     c = f * c_prev + i * g
-    o = sigmoid(p.W_ox.value @ x + p.W_oh.value @ h_prev + p.p_o.value * c + p.b_o.value)
+    z[3 * n:] += peep[2 * n:] * c
+    o = sigmoid(z[3 * n:])
     tc = np.tanh(c)
     h = o * tc
     return h, c, (x, h_prev, c_prev, i, f, g, o, c, tc)
@@ -145,29 +149,26 @@ def lstm_cell_backward(p: LstmCellParams, cache, dh: np.ndarray, dc_in: np.ndarr
     (dx, dh_prev, dc_prev).
     """
     x, h_prev, c_prev, i, f, g, o, c, tc = cache
+    n = p.hidden_dim
+    peep = p.p.value
     dzo = dh * tc * o * (1.0 - o)
-    dc = dc_in + dh * o * (1.0 - tc * tc) + dzo * p.p_o.value
-    dzf = dc * c_prev * f * (1.0 - f)
-    dzi = dc * g * i * (1.0 - i)
-    dzg = dc * i * (1.0 - g * g)
+    dc = dc_in + dh * o * (1.0 - tc * tc) + dzo * peep[2 * n:]
+    dz = np.concatenate([dc * g * i * (1.0 - i),
+                         dc * c_prev * f * (1.0 - f),
+                         dc * i * (1.0 - g * g),
+                         dzo])
+    dzi, dzf = dz[:n], dz[n:2 * n]
 
-    for dz, Wx, Wh in ((dzi, p.W_ix, p.W_ih), (dzf, p.W_fx, p.W_fh),
-                       (dzg, p.W_gx, p.W_gh), (dzo, p.W_ox, p.W_oh)):
-        Wx.grad += dz @ x.T
-        Wh.grad += dz @ h_prev.T
-    p.b_i.grad += dzi.sum(axis=1, keepdims=True)
-    p.b_f.grad += dzf.sum(axis=1, keepdims=True)
-    p.b_g.grad += dzg.sum(axis=1, keepdims=True)
-    p.b_o.grad += dzo.sum(axis=1, keepdims=True)
-    p.p_i.grad += (dzi * c_prev).sum(axis=1, keepdims=True)
-    p.p_f.grad += (dzf * c_prev).sum(axis=1, keepdims=True)
-    p.p_o.grad += (dzo * c).sum(axis=1, keepdims=True)
+    p.Wx.grad += dz @ x.T
+    p.Wh.grad += dz @ h_prev.T
+    p.b.grad += dz.sum(axis=1, keepdims=True)
+    p.p.grad[:n] += (dzi * c_prev).sum(axis=1, keepdims=True)
+    p.p.grad[n:2 * n] += (dzf * c_prev).sum(axis=1, keepdims=True)
+    p.p.grad[2 * n:] += (dzo * c).sum(axis=1, keepdims=True)
 
-    dx = (p.W_ix.value.T @ dzi + p.W_fx.value.T @ dzf
-          + p.W_gx.value.T @ dzg + p.W_ox.value.T @ dzo)
-    dh_prev = (p.W_ih.value.T @ dzi + p.W_fh.value.T @ dzf
-               + p.W_gh.value.T @ dzg + p.W_oh.value.T @ dzo)
-    dc_prev = dc * f + dzi * p.p_i.value + dzf * p.p_f.value
+    dx = p.Wx.value.T @ dz
+    dh_prev = p.Wh.value.T @ dz
+    dc_prev = dc * f + dzi * peep[:n] + dzf * peep[n:2 * n]
     return dx, dh_prev, dc_prev
 
 
@@ -177,7 +178,7 @@ def lstm_run(p: LstmCellParams, xs: list[np.ndarray], h0: np.ndarray | None = No
     if not xs:
         raise EmptySequence("lstm_run needs a nonempty sequence")
     batch = xs[0].shape[1]
-    dtype = p.W_ix.value.dtype
+    dtype = p.Wx.value.dtype
     h = np.zeros((p.hidden_dim, batch), dtype=dtype) if h0 is None else h0
     c = np.zeros((p.hidden_dim, batch), dtype=dtype) if c0 is None else c0
     hs, cs, caches = [], [], []

@@ -210,6 +210,19 @@ class TestTransmit:
             assert code == 0
             assert "wer: 0.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("system", ["huffman", "fixed5", "gzip-batch"])
+    def test_concrete_decode_failure_is_a_lost_frame(self, workdir, capsys, system):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        capsys.readouterr()
+        code = run(["transmit", "--sentence", "the cat sat on the mat .",
+                    "--system", system, "--set", "baseline.fec_mode=concrete",
+                    "--set", "channel.erasure_prob=0.1"] + base)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == ["decode failure: 32 erasures exceed capability 31",
+                              "decoded: ", "wer: 1.0000"]
+
     def test_corrupt_frequency_table_exits_3(self, workdir, capsys):
         tmp, out, base = workdir
         run(["prepare"] + base)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ def tiny_config(**overrides):
 
 
 class TestJsccConfig:
+    def test_paper_config_parameter_layout(self):
+        model = JsccModel(JsccConfig(vocab_size=1000), seed=0)
+        params = model.parameters()
+        assert len(params) == 39
+        assert sum(p.value.size for p in params) == 7_611_064
+
     def test_odd_bits_rejected(self):
         with pytest.raises(DomainError):
             tiny_config(bits=7)
@@ -260,6 +267,18 @@ class TestBeamSearch:
                 tokens = model.beam_search_decode(obs, beam_width=width, max_len=4)
                 scores.append(score(model, obs, tokens))
             assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+
+    def test_underflowed_probability_stays_finite(self):
+        """Huge logits underflow softmax entries to 0 in f32; beam search must
+        neither warn on log(0) nor lose its agreement with greedy decoding."""
+        model = JsccModel(tiny_config(precision="f32"), seed=3)
+        model.W_out.value *= 1e3
+        obs = model.encode([4, 5, 6], "deterministic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert model.beam_search_decode(obs, beam_width=1) == \
+                model.greedy_decode_batch(obs[:, None])[0]
+            model.beam_search_decode(obs, beam_width=3)
 
     def test_logp_non_increasing_along_hypothesis(self):
         model = JsccModel(tiny_config(), seed=1)

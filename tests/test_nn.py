@@ -17,6 +17,7 @@ from textjscc.nn import (
     blstm_layer_forward,
     dense_backward,
     dense_forward,
+    glorot,
     lstm_cell_forward,
     softmax,
     softmax_cross_entropy,
@@ -104,6 +105,53 @@ class TestLstmCell:
 
     def test_gradcheck(self):
         assert check_lstm_cell(0) < 1e-4
+
+    def test_stacked_forward_matches_per_gate_equations(self):
+        """The module docstring's recurrence, on row slices of Wx, Wh, b, p."""
+        rng = np.random.default_rng(4)
+        d, n = 3, 5
+        cell = LstmCellParams(d, n, rng, np.float64, "c")
+        for q in cell.parameters():
+            q.value[...] = rng.normal(size=q.shape)
+        x, h0, c0 = (rng.normal(size=(k, 4)) for k in (d, n, n))
+        h, c, _ = lstm_cell_forward(cell, x, h0, c0)
+
+        def gate(arr, k):
+            return arr[k * n:(k + 1) * n]
+
+        def pre(k):
+            return (gate(cell.Wx.value, k) @ x + gate(cell.Wh.value, k) @ h0
+                    + gate(cell.b.value, k))
+
+        def sigma(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        p_i, p_f, p_o = (gate(cell.p.value, k) for k in range(3))
+        i = sigma(pre(0) + p_i * c0)
+        f = sigma(pre(1) + p_f * c0)
+        g = np.tanh(pre(2))
+        c_ref = f * c0 + i * g
+        o = sigma(pre(3) + p_o * c_ref)
+        assert np.max(np.abs(c - c_ref)) < 1e-12
+        assert np.max(np.abs(h - o * np.tanh(c_ref))) < 1e-12
+
+    def test_init_stacks_per_gate_glorot_draws(self):
+        d, n = 3, 4
+        cell = LstmCellParams(d, n, np.random.default_rng(5), np.float32, "c")
+        assert cell.parameters() == [cell.Wx, cell.Wh, cell.b, cell.p]
+        assert [q.name for q in cell.parameters()] == ["c.Wx", "c.Wh", "c.b", "c.p"]
+        rng = np.random.default_rng(5)
+        order = [("W_ix", (n, d)), ("W_ih", (n, n)), ("p_i", (n, 1)),
+                 ("W_fx", (n, d)), ("W_fh", (n, n)), ("p_f", (n, 1)),
+                 ("W_gx", (n, d)), ("W_gh", (n, n)),
+                 ("W_ox", (n, d)), ("W_oh", (n, n)), ("p_o", (n, 1))]
+        ref = {name: glorot(shape, rng, np.float32) for name, shape in order}
+        assert np.array_equal(cell.Wx.value, np.vstack([ref[f"W_{g}x"] for g in "ifgo"]))
+        assert np.array_equal(cell.Wh.value, np.vstack([ref[f"W_{g}h"] for g in "ifgo"]))
+        assert np.array_equal(cell.p.value, np.vstack([ref[f"p_{g}"] for g in "ifo"]))
+        bias = np.zeros((4 * n, 1), dtype=np.float32)
+        bias[n:2 * n] = 1.0
+        assert np.array_equal(cell.b.value, bias)
 
 
 class TestBlstm:

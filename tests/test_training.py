@@ -94,7 +94,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.tjscc")
         save_checkpoint(path, model)
         with open(path, "rb") as fh:
-            assert fh.read(6) == b"TJSCC1"
+            assert fh.read(6) == b"TJSCC2"
         _, _, blobs = read_checkpoint(path)
         assert list(blobs)[: len(model.parameters())] == [p.name for p in model.parameters()]
 
@@ -123,6 +123,14 @@ class TestCheckpoint:
         blob[offset] = value
         path.write_bytes(bytes(blob))
         with pytest.raises(IoError):
+            load_model(str(path))
+
+    def test_retired_layout_is_io_error(self, tmp_path):
+        vocab, _ = toy_corpus()
+        path = tmp_path / "model.tjscc"
+        save_checkpoint(str(path), small_model(len(vocab)))
+        path.write_bytes(b"TJSCC1" + path.read_bytes()[6:])
+        with pytest.raises(IoError, match="retired TJSCC1 layout"):
             load_model(str(path))
 
     def test_missing_optimizer_state_is_io_error(self, tmp_path):
