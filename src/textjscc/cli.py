@@ -19,8 +19,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from .analysis import classical_mds, hamming_matrix
 from .channel import erase
@@ -230,8 +228,7 @@ def cmd_embed(cfg: RunConfig, args) -> int:
     lines = corpus_mod.read_lines(_require_file(args.sentences, "sentences file"))
     if not lines:
         raise ConfigError(f"no sentences in {args.sentences}")
-    codewords = np.stack([model.encode(tokenize(line, vocab).ids, "deterministic")
-                          for line in lines])
+    codewords = model.encode_sentences([tokenize(line, vocab) for line in lines])
     D = hamming_matrix(codewords)
 
     ham_path = _out_path(cfg, "hamming.csv")

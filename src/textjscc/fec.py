@@ -8,6 +8,7 @@ fail when erasures exceed n - k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -78,6 +79,13 @@ class RsCode:
                 nxt[j + 1] ^= gf_mul(c, root)
             gen = nxt
         self.generator = gen
+
+
+@functools.lru_cache(maxsize=256)
+def rs_code(n: int, k: int) -> RsCode:
+    """The (n, k) code, built once: its generator takes milliseconds in pure
+    Python, and a concrete frame reuses a few (n, k) shapes for every block."""
+    return RsCode(n, k)
 
 
 def rs_encode(data: Sequence[int], code: RsCode) -> list[int]:
@@ -243,13 +251,14 @@ def transmit_baseline(
     for n, k in plan.blocks:
         block = data_symbols[offset : offset + k]
         offset += k
-        codeword = rs_encode(block, RsCode(n, k))
+        code = rs_code(n, k)
+        codeword = rs_encode(block, code)
         tx_bits = np.unpackbits(np.array(codeword, dtype=np.uint8))
         rx = erase_bitstream(tx_bits, cfg, rng).reshape(n, 8)
         erased = (rx == ERASED).any(axis=1)
         # the decoder ignores the values it is told are erased
         symbols = np.packbits(rx.astype(np.uint8), axis=1)[:, 0]
         recovered.extend(rs_decode_erasures(symbols.tolist(), np.flatnonzero(erased).tolist(),
-                                            RsCode(n, k)))
+                                            code))
     out_bits = np.unpackbits(np.array(recovered, dtype=np.uint8))
     return out_bits[: sentence_bits.size]

@@ -14,10 +14,11 @@ channel only at surviving positions.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import EOS_ID, SOS_ID, Vocabulary
+from .corpus import EOS_ID, SOS_ID, TokenizedSentence, Vocabulary, batch_by_length
 from .errors import DomainError, IoError, ShapeError
 from .nn import (
     LstmCellParams,
@@ -33,6 +34,9 @@ from .nn import (
 )
 
 CLAMP_TOL = 1e-6
+# Sentences per encode_batch call at inference: the paper's training batch,
+# which bounds the per-step activations one encoder pass holds.
+ENCODE_BATCH = 128
 
 
 @dataclass
@@ -81,15 +85,6 @@ def binarize_stochastic(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def binarize_deterministic(x: np.ndarray) -> np.ndarray:
     """Test-time rule 2*u(x) - 1 with u(0) pinned to 1, so 0 -> +1."""
     return np.where(np.asarray(x) >= 0.0, 1, -1).astype(np.int8)
-
-
-@dataclass
-class BeamHypothesis:
-    tokens: list[int]
-    logp: float
-    states: list[tuple[np.ndarray, np.ndarray]]
-    last_token: int
-    finished: bool = False
 
 
 class JsccModel:
@@ -228,6 +223,15 @@ class JsccModel:
         """Length-bits codeword for one sentence."""
         out = self.encode_batch(np.asarray([list(ids)], dtype=np.int64), mode, rng)
         return out[:, 0]
+
+    def encode_sentences(self, sents: Sequence[TokenizedSentence]) -> np.ndarray:
+        """Deterministic codewords, one (bits,) row per sentence in input
+        order, from one encode_batch call per group of equal-length sentences."""
+        out = np.empty((len(sents), self.config.bits), dtype=np.int8)
+        for rows in batch_by_length(sents, ENCODE_BATCH).batches:
+            out[rows] = self.encode_batch(
+                np.asarray([sents[i].ids for i in rows], dtype=np.int64)).T
+        return out
 
     def encode_training(self, ids_batch, rng: np.random.Generator):
         """Stochastically binarized codewords plus the cache for backward."""
@@ -384,8 +388,14 @@ class JsccModel:
 
     def beam_search_decode(self, obs: np.ndarray, beam_width: int | None = None,
                            max_len: int | None = None) -> list[int]:
-        """Length-bounded beam search; returns the finished hypothesis with
-        the highest total log probability (no length normalization)."""
+        """Length-bounded beam search over one observation, (bits,) or
+        (bits, 1); returns the finished hypothesis with the highest total log
+        probability (no length normalization), shorter first on a tie.
+
+        Each step runs one decoder step whose columns are the live
+        hypotheses.  Candidates rank by (-logp, token, prefix): equal totals
+        go to the smaller token, then to the lexicographically smaller prefix.
+        """
         if beam_width is None:
             beam_width = self.config.beam_width
         if max_len is None:
@@ -395,33 +405,44 @@ class JsccModel:
         obs = np.asarray(obs)
         if obs.ndim == 1:
             obs = obs[:, None]
+        if obs.ndim != 2 or obs.shape[1] != 1:
+            raise ShapeError(f"beam search decodes one observation, got shape {obs.shape}")
+        vocab = self.config.vocab_size
         states, _ = self.decoder_init(obs)
-        alive = [BeamHypothesis([], 0.0, states, SOS_ID)]
-        finished: list[BeamHypothesis] = []
+        prefixes: list[list[int]] = [[]]
+        logp = np.zeros(1)  # running totals stay float64 in f32 models too
+        last = [SOS_ID]
+        finished: list[tuple[list[int], float]] = []
         for _ in range(max_len):
-            candidates = []
-            for hyp in alive:
-                x = self.embed.value[[hyp.last_token]].T
-                logits, new_states, _ = self._decoder_step(x, hyp.states)
-                # log-softmax without the softmax, so underflow stays finite
-                z = logits[:, 0] - logits.max()
-                logprobs = z - np.log(np.exp(z).sum())
-                for v in range(self.config.vocab_size):
-                    candidates.append((hyp.logp + float(logprobs[v]), v, hyp, new_states))
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2].tokens))
-            alive = []
-            for logp, v, hyp, new_states in candidates[:beam_width]:
+            logits, new_states, _ = self._decoder_step(self.embed.value[last].T, states)
+            # log-softmax without the softmax, so underflow stays finite; one
+            # contiguous row per hypothesis
+            z = np.ascontiguousarray(logits.T)
+            z -= z.max(axis=1, keepdims=True)
+            z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+            scores = (logp[:, None] + z).ravel()  # index = hypothesis * vocab + token
+            kth = max(scores.size - beam_width, 0)  # the beam_width-th best score
+            pool = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+            ranked = sorted(zip(scores[pool].tolist(), (pool % vocab).tolist(),
+                                (pool // vocab).tolist()),
+                            key=lambda c: (-c[0], c[1], prefixes[c[2]]))[:beam_width]
+            keep, alive, totals, last = [], [], [], []
+            for total, v, parent in ranked:
                 if v == EOS_ID:
-                    finished.append(BeamHypothesis(hyp.tokens, logp, [], v, True))
+                    finished.append((prefixes[parent], total))
                 else:
-                    alive.append(BeamHypothesis(hyp.tokens + [v], logp, new_states, v))
+                    keep.append(parent)
+                    alive.append(prefixes[parent] + [v])
+                    totals.append(total)
+                    last.append(v)
+            prefixes, logp = alive, np.array(totals)
             if not alive:
                 break
-            if finished and max(h.logp for h in finished) >= alive[0].logp:
+            if finished and max(t for _, t in finished) >= totals[0]:
                 break
-        finished.extend(alive)  # hypotheses cut off at max_len count as finished
-        best = max(finished, key=lambda h: (h.logp, -len(h.tokens)))
-        return best.tokens
+            states = [(h[:, keep], c[:, keep]) for h, c in new_states]
+        finished.extend(zip(prefixes, logp.tolist()))  # hypotheses cut off count as finished
+        return max(finished, key=lambda f: (f[1], -len(f[0])))[0]
 
 
 def load_pretrained_embeddings(model: JsccModel, vocab: Vocabulary, path: str) -> int:

@@ -86,7 +86,7 @@ def _trial_stats(trial_means: list[float]) -> tuple[float, float]:
 def _eval_deep(model: JsccModel, sents: Sequence[TokenizedSentence], p_d: float,
                spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
     cfg = ChannelConfig(p_d=p_d, seed=0)
-    codewords = [model.encode(s.ids, "deterministic") for s in sents]
+    codewords = model.encode_sentences(sents)
     trial_means = []
     for trial in range(spec.trials):
         wers = []

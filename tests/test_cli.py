@@ -7,7 +7,7 @@ import pytest
 from textjscc import cli
 from textjscc.checkpoint import load_model
 from textjscc.config import DEFAULTS
-from textjscc.corpus import SPECIALS, Vocabulary
+from textjscc.corpus import SPECIALS, Vocabulary, tokenize
 from textjscc.model import JsccConfig, JsccModel
 
 CORPUS = [
@@ -307,6 +307,16 @@ class TestEmbedCommand:
         _, x2, y2 = mds[2].rsplit(",", 2)
         assert abs(float(x1) - float(x2)) < 1e-8
         assert abs(float(y1) - float(y2)) < 1e-8
+
+    def test_grouped_codewords_equal_per_sentence(self, workdir):
+        tmp, out, base = self._prepare_model(workdir)
+        vocab = Vocabulary.load(str(out / "vocab.txt"))
+        model, _ = load_model(str(out / "model.tjscc"))
+        sents = [tokenize(line, vocab) for line in CORPUS]
+        grouped = model.encode_sentences(sents)
+        assert len(grouped) == len(sents)
+        for row, sent in zip(grouped, sents):
+            assert np.array_equal(row, model.encode(sent.ids, "deterministic"))
 
     def test_single_sentence_domain_error(self, workdir, capsys):
         tmp, out, base = self._prepare_model(workdir)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from textjscc import fec
 from textjscc.channel import ChannelConfig
 from textjscc.errors import DecodeFailure, DomainError, ShapeError
 from textjscc.fec import (
@@ -14,6 +15,7 @@ from textjscc.fec import (
     gf_mul,
     plan_budget,
     rs_decode_erasures,
+    rs_code,
     rs_encode,
     transmit_baseline,
 )
@@ -229,6 +231,34 @@ class TestTransmitBaseline:
         plan = plan_budget(100, 0.0, "idealized")
         with pytest.raises(DomainError):
             transmit_baseline(np.zeros(101, dtype=np.uint8), plan, ChannelConfig(0.0))
+
+
+class TestRsCodeMemo:
+    def test_lookups_share_one_generator(self):
+        a, b = rs_code(255, 150), rs_code(255, 150)
+        assert a is b
+        assert a.generator is b.generator
+        assert a.generator == RsCode(255, 150).generator
+
+    def test_transmissions_match_fresh_codes(self, monkeypatch):
+        """Memoized codes transmit exactly what a code built per call did."""
+        plan = plan_budget(3200, 0.05, "concrete")
+        cfg = ChannelConfig(p_d=0.05)
+
+        def outcomes():
+            rng = np.random.default_rng(11)
+            got = []
+            for _ in range(8):
+                bits = rng.integers(0, 2, size=plan.source_bits).astype(np.uint8)
+                try:
+                    got.append(transmit_baseline(bits, plan, cfg, rng).tolist())
+                except DecodeFailure as exc:
+                    got.append(str(exc))
+            return got
+
+        memoized = outcomes()
+        monkeypatch.setattr(fec, "rs_code", RsCode)
+        assert memoized == outcomes()
 
 
 class TestDeterministicErasureFixture:

@@ -1,12 +1,13 @@
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from textjscc.corpus import EOS_ID, SOS_ID
-from textjscc.errors import DomainError
+from textjscc.errors import DomainError, ShapeError
 from textjscc.model import (
     JsccConfig,
     JsccModel,
@@ -295,6 +296,103 @@ class TestBeamSearch:
             assert step_lp <= 0.0
             total += step_lp
             prev = nxt
+
+
+@dataclass
+class ReferenceHypothesis:
+    tokens: list
+    logp: float
+    states: list
+    last_token: int
+
+
+def reference_beam_search(model, obs, beam_width, max_len):
+    """The per-hypothesis beam search the batched one replaced, kept as the
+    oracle: one batch-1 decoder step per live hypothesis, and every one of
+    the V x w candidates sorted in Python by (-logp, token, prefix)."""
+    obs = np.asarray(obs)
+    if obs.ndim == 1:
+        obs = obs[:, None]
+    states, _ = model.decoder_init(obs)
+    alive = [ReferenceHypothesis([], 0.0, states, SOS_ID)]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in alive:
+            x = model.embed.value[[hyp.last_token]].T
+            logits, new_states, _ = model._decoder_step(x, hyp.states)
+            z = logits[:, 0] - logits.max()
+            logprobs = z - np.log(np.exp(z).sum())
+            for v in range(model.config.vocab_size):
+                candidates.append((hyp.logp + float(logprobs[v]), v, hyp, new_states))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2].tokens))
+        alive = []
+        for logp, v, hyp, new_states in candidates[:beam_width]:
+            if v == EOS_ID:
+                finished.append(ReferenceHypothesis(hyp.tokens, logp, [], v))
+            else:
+                alive.append(ReferenceHypothesis(hyp.tokens + [v], logp, new_states, v))
+        if not alive:
+            break
+        if finished and max(h.logp for h in finished) >= alive[0].logp:
+            break
+    finished.extend(alive)
+    return max(finished, key=lambda h: (h.logp, -len(h.tokens))).tokens
+
+
+class TestBatchedBeamOracle:
+    """The batched beam returns the reference beam's tokens, tie-breaks
+    included.  Widths reach past the 7-word vocabulary."""
+
+    WIDTHS = (1, 2, 4, 9, 40)
+
+    @staticmethod
+    def _observation(model, rng):
+        obs = rng.choice([-1, 1], size=model.config.bits)
+        obs[rng.random(obs.size) < 0.2] = 0  # erasures
+        return obs
+
+    def _assert_agree(self, model, rng, max_len=6):
+        obs = self._observation(model, rng)
+        for width in self.WIDTHS:
+            assert model.beam_search_decode(obs, width, max_len) == \
+                reference_beam_search(model, obs, width, max_len), width
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_random_models(self, precision):
+        for seed in range(30):
+            model = JsccModel(tiny_config(vocab_size=7, precision=precision), seed=seed)
+            self._assert_agree(model, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_all_tied_logits(self, precision):
+        """Every candidate ties on logp, so token and prefix decide."""
+        for seed in range(4):
+            model = JsccModel(tiny_config(vocab_size=7, precision=precision), seed=seed)
+            model.W_out.value[...] = 0.0
+            model.b_out.value[...] = 0.0
+            self._assert_agree(model, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("eos_bias", [1.0, 2.0, 4.0, 50.0])
+    def test_eos_dominated(self, eos_bias):
+        for seed in range(8):
+            model = JsccModel(tiny_config(vocab_size=7, precision="f32"), seed=seed)
+            model.b_out.value[EOS_ID, 0] = eos_bias
+            self._assert_agree(model, np.random.default_rng(seed))
+
+    def test_longer_decodes(self):
+        for seed in range(6):
+            model = JsccModel(tiny_config(vocab_size=9, precision="f32"), seed=seed)
+            self._assert_agree(model, np.random.default_rng(seed), max_len=12)
+
+    def test_multi_column_observation_rejected(self):
+        model = JsccModel(tiny_config(), seed=0)
+        obs = np.ones((model.config.bits, 2))
+        with pytest.raises(ShapeError):
+            model.beam_search_decode(obs)
+        with pytest.raises(ShapeError):
+            model.beam_search_decode(obs[None])
+        assert model.beam_search_decode(obs[:, :1]) == model.beam_search_decode(obs[:, 0])
 
 
 class TestStraightThroughInvariant:

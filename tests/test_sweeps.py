@@ -129,6 +129,17 @@ class TestRunSweep:
         assert all(np.isfinite(r.mean_wer) for r in table)
         assert table == run_sweep(spec, sents, models={16: model})
 
+    def test_grouped_codewords_equal_per_sentence(self, corpus):
+        vocab, sents, _ = corpus
+        config = JsccConfig(vocab_size=len(vocab), embed_dim=8, encoder_stacks=2,
+                            encoder_hidden=6, decoder_stacks=1, decoder_hidden=8, bits=16)
+        model = JsccModel(config, seed=0)
+        assert len({len(s) for s in sents}) < len(sents)  # some groups hold several
+        grouped = model.encode_sentences(sents)
+        assert len(grouped) == len(sents)
+        for row, sent in zip(grouped, sents):
+            assert np.array_equal(row, model.encode(sent.ids, "deterministic"))
+
     def test_sentence_length_axis(self, corpus):
         _, sents, book = corpus
         lengths = sorted({len(s) for s in sents})
