@@ -4,10 +4,27 @@ Idealized mode reserves ceil(l * p_d) parity bits out of the budget and then
 assumes the channel code compensates perfectly, which favors the separate
 source/channel baselines.  Concrete mode actually codes byte symbols and can
 fail when erasures exceed n - k.
+
+Concrete planning is closed-form.  A byte symbol is erased with probability
+q = 1 - (1 - p_d)^8, and an (n, kb) block is valid when n <= 255 and
+n - kb >= ceil(1.1 * q * n), a 10% margin over its expected erasures.  Let
+n(kb) be the shortest valid n for kb data symbols.  If n is valid for kb + 1,
+then n - 1 is valid for kb, because the margin does not shrink as n grows.
+So the kb that have a valid n are 1..K* (closed downward, K* <= 254, since
+n > kb), and n(kb) strictly increases with kb.  Greedy splitting of k data
+symbols therefore gives f = (k - 1) // K* full blocks (n(K*), K*) and one
+last block (n(r), r) with r = k - f * K*.  The blocks' total length
+f * n(K*) + n(r) strictly increases with k, so the largest k whose blocks fit
+in total_bits // 8 symbols takes as many full blocks as leave room for
+n(1), then the largest r that fits in the rest.
+
+Erasure decoding solves the syndrome system by Gauss-Jordan elimination; the
+row operations run on numpy rows through the log/exp tables.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -47,18 +64,17 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-def gf_pow(a: int, n: int) -> int:
-    if a == 0:
-        return 0 if n else 1
-    return GF_EXP[(GF_LOG[a] * n) % 255]
+# numpy copies for vectorized products: zero's log is 512, and every index
+# from 512 up reads 0, so a product with a zero operand is 0 without a mask.
+_LOG_NP = np.array(GF_LOG, dtype=np.intp)
+_LOG_NP[0] = 512
+_EXP_NP = np.zeros(1025, dtype=np.intp)
+_EXP_NP[:512] = GF_EXP
 
 
-def gf_poly_eval(poly: Sequence[int], x: int) -> int:
-    """Horner evaluation; poly[0] is the highest-degree coefficient."""
-    y = 0
-    for c in poly:
-        y = gf_mul(y, x) ^ c
-    return y
+def gf_mul_array(a, b) -> np.ndarray:
+    """Elementwise gf_mul of broadcastable integer arrays with values in 0..255."""
+    return _EXP_NP[_LOG_NP[a] + _LOG_NP[b]]
 
 
 class RsCode:
@@ -105,43 +121,50 @@ def rs_encode(data: Sequence[int], code: RsCode) -> list[int]:
 def rs_decode_erasures(received: Sequence[int], erasures: Sequence[int], code: RsCode) -> list[int]:
     """Recover the k data symbols given the erasure positions.
 
-    Solves the syndrome system for the erased values by Gaussian elimination
-    over GF(256); raises DecodeFailure when #erasures > n - k.
+    Solves the syndrome system for the erased values by Gauss-Jordan
+    elimination over GF(256); raises DecodeFailure when #erasures > n - k and
+    DomainError for a position outside the codeword.
     """
-    if len(received) != code.n:
-        raise ShapeError(f"expected {code.n} received symbols, got {len(received)}")
+    n, k = code.n, code.k
+    if len(received) != n:
+        raise ShapeError(f"expected {n} received symbols, got {len(received)}")
     positions = sorted(set(erasures))
     for p in positions:
-        if not 0 <= p < code.n:
-            raise IndexError(f"erasure position {p} outside codeword")
+        if not 0 <= p < n:
+            raise DomainError(f"erasure position {p} outside codeword of length {n}")
     t = len(positions)
-    if t > code.n - code.k:
-        raise DecodeFailure(f"{t} erasures exceed capability {code.n - code.k}")
+    if t > n - k:
+        raise DecodeFailure(f"{t} erasures exceed capability {n - k}")
     if t == 0:
-        return list(received[: code.k])
+        return list(received[:k])
 
-    cw = [0 if i in set(positions) else received[i] for i in range(code.n)]
-    # Syndromes of the zero-filled word: S_i = sum over erased positions of
-    # c_p * beta_p^i with beta_p = alpha^(n-1-p).
-    synd = [gf_poly_eval(cw, GF_EXP[i]) for i in range(t)]
-    betas = [gf_pow(GF_EXP[1], code.n - 1 - p) for p in positions]
-    mat = [[gf_pow(b, i) for b in betas] + [synd[i]] for i in range(t)]
+    cw = np.array(received, dtype=np.intp)
+    cw[positions] = 0
+    # Position p holds the coefficient of x^(n-1-p).  Syndromes of the
+    # zero-filled word: S_i = c(alpha^i) = sum over erased p of c_p * beta_p^i
+    # with beta_p = alpha^(n-1-p).
+    rows = np.arange(t)[:, None]
+    known = np.flatnonzero(cw)
+    terms = _EXP_NP[(_LOG_NP[cw[known]] + rows * (n - 1 - known)) % 255]
+    mat = np.empty((t, t + 1), dtype=np.intp)
+    mat[:, t] = np.bitwise_xor.reduce(terms, axis=1)
+    mat[:, :t] = _EXP_NP[rows * (n - 1 - np.array(positions)) % 255]
 
-    # Gaussian elimination with pivoting (matrix is Vandermonde, so full rank).
+    # Gauss-Jordan with pivoting (the matrix is Vandermonde, so full rank).
+    # Columns left of col are already reduced, so row operations skip them.
     for col in range(t):
-        pivot = next((r for r in range(col, t) if mat[r][col]), None)
-        if pivot is None:
+        nonzero = np.flatnonzero(mat[col:, col])
+        if nonzero.size == 0:
             raise DecodeFailure("singular erasure system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = gf_inv(mat[col][col])
-        mat[col] = [gf_mul(v, inv) for v in mat[col]]
-        for r in range(t):
-            if r != col and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [v ^ gf_mul(factor, w) for v, w in zip(mat[r], mat[col])]
-    for p, row in zip(positions, mat):
-        cw[p] = row[-1]
-    return cw[: code.k]
+        pivot = col + nonzero[0]
+        if pivot != col:
+            mat[[col, pivot]] = mat[[pivot, col]]
+        mat[col, col:] = gf_mul_array(mat[col, col:], gf_inv(int(mat[col, col])))
+        factors = mat[:, col].copy()
+        factors[col] = 0
+        mat[:, col:] ^= gf_mul_array(factors[:, None], mat[col, col:])
+    cw[positions] = mat[:, t]
+    return cw[:k].tolist()
 
 
 @dataclass
@@ -164,7 +187,12 @@ def plan_budget(total_bits: int, p_d: float, mode: str = "idealized") -> FecPlan
 
     idealized: parity = ceil(total * p_d) bits and downstream transmission is
     assumed perfectly corrected.  concrete: byte-symbol RS blocks sized with a
-    10% margin over the expected symbol erasures.
+    10% margin over the expected symbol erasures, holding the most data
+    symbols k whose blocks fit in total // 8 symbols.  With the table n(kb)
+    of shortest valid block lengths, valid for kb = 1..K*, the blocks are
+    f full (n(K*), K*) blocks and a last (n(r), r) block (module docstring);
+    the fitting k takes the most full blocks that leave room for n(1), then
+    the largest r with n(r) in the remaining symbols.
     """
     if not 0.0 <= p_d < 1.0:
         raise DomainError(f"erasure probability {p_d} outside [0, 1)")
@@ -177,42 +205,31 @@ def plan_budget(total_bits: int, p_d: float, mode: str = "idealized") -> FecPlan
 
     # A byte symbol is erased iff any of its 8 bits is erased.
     q = 1.0 - (1.0 - p_d) ** 8
-    cap = total_bits // 8
-    for k in range(cap, 0, -1):
-        blocks = _split_blocks(k, q)
-        if blocks is not None and 8 * sum(n for n, _ in blocks) <= total_bits:
-            parity = total_bits - 8 * k
-            return FecPlan(total_bits, p_d, parity, mode, blocks)
-    raise DomainError(f"budget of {total_bits} bits cannot host any RS block at p_d={p_d}")
+    lengths = _shortest_block_lengths(q)
+    symbols = total_bits // 8
+    if not lengths or lengths[0] > symbols:
+        raise DomainError(f"budget of {total_bits} bits cannot host any RS block at p_d={p_d}")
+    k_star, n_star = len(lengths), lengths[-1]
+    full = (symbols - lengths[0]) // n_star
+    r = bisect.bisect_right(lengths, symbols - full * n_star)
+    blocks = [(n_star, k_star)] * full + [(lengths[r - 1], r)]
+    return FecPlan(total_bits, p_d, total_bits - 8 * (full * k_star + r), mode, blocks)
 
 
-def _split_blocks(k_total: int, q: float) -> list[tuple[int, int]] | None:
-    """Partition k data symbols into (n, k) blocks with n <= 255 and
-    n - k >= ceil(1.1 * q * n)."""
-    blocks = []
-    remaining = k_total
-    while remaining > 0:
-        kb = min(remaining, 255)
-        nb = None
-        for cand in range(kb + 1, 256):
-            if cand - kb >= math.ceil(1.1 * q * cand - 1e-9):
-                nb = cand
-                break
-        if nb is None:
-            kb_fit = None
-            for smaller in range(kb - 1, 0, -1):
-                for cand in range(smaller + 1, 256):
-                    if cand - smaller >= math.ceil(1.1 * q * cand - 1e-9):
-                        kb_fit = (cand, smaller)
-                        break
-                if kb_fit:
-                    break
-            if kb_fit is None:
-                return None
-            nb, kb = kb_fit
-        blocks.append((nb, kb))
-        remaining -= kb
-    return blocks
+def _shortest_block_lengths(q: float) -> list[int]:
+    """n(kb) for kb = 1..K*: the shortest n <= 255 with n > kb and
+    n - kb >= ceil(1.1 * q * n); entry kb - 1 holds n(kb)."""
+    lengths: list[int] = []
+    n = 2
+    for kb in range(1, 255):
+        # n(kb) > n(kb - 1), so the search resumes where the last one ended
+        n = max(n, kb + 1)
+        while n <= 255 and n - kb < math.ceil(1.1 * q * n - 1e-9):
+            n += 1
+        if n > 255:
+            break
+        lengths.append(n)
+    return lengths
 
 
 def transmit_baseline(
@@ -260,5 +277,6 @@ def transmit_baseline(
         symbols = np.packbits(rx.astype(np.uint8), axis=1)[:, 0]
         recovered.extend(rs_decode_erasures(symbols.tolist(), np.flatnonzero(erased).tolist(),
                                             code))
-    out_bits = np.unpackbits(np.array(recovered, dtype=np.uint8))
-    return out_bits[: sentence_bits.size]
+    # exactly as long as the payload: callers keep it, and a slice would keep
+    # the padding bits alive with it
+    return np.unpackbits(np.array(recovered, dtype=np.uint8), count=sentence_bits.size)

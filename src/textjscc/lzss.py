@@ -23,17 +23,18 @@ _LITERAL_BITS = 8
 _OFFSET_BITS = 12
 _LENGTH_BITS = 4
 
+# Bits of every byte and nibble, most significant first, one 0/1 byte per
+# bit; a 12-bit offset is emitted as its high nibble then its low byte.
+_BYTE_BITS = [bytes((v >> (7 - k)) & 1 for k in range(8)) for v in range(256)]
+_NIBBLE_BITS = [bytes((v >> (3 - k)) & 1 for k in range(4)) for v in range(16)]
+
 
 def compress_bytes(data: bytes) -> np.ndarray:
     """Greedy LZSS parse of a byte string into the token bit stream."""
     n = len(data)
-    bits: list[int] = []
+    bits = bytearray()
     head: dict[bytes, int] = {}
     prev = [-1] * n
-
-    def emit_int(value: int, width: int) -> None:
-        bits.extend((value >> (width - 1 - k)) & 1 for k in range(width))
-
     i = 0
     while i < n:
         best_len = 0
@@ -53,19 +54,20 @@ def compress_bytes(data: bytes) -> np.ndarray:
                 j = prev[j]
         if best_len >= MIN_MATCH:
             bits.append(1)
-            emit_int(best_off - 1, _OFFSET_BITS)
-            emit_int(best_len - MIN_MATCH, _LENGTH_BITS)
+            bits += _NIBBLE_BITS[(best_off - 1) >> 8]
+            bits += _BYTE_BITS[(best_off - 1) & 0xFF]
+            bits += _NIBBLE_BITS[best_len - MIN_MATCH]
             end = i + best_len
         else:
             bits.append(0)
-            emit_int(data[i], _LITERAL_BITS)
+            bits += _BYTE_BITS[data[i]]
             end = i + 1
         for p in range(i, min(end, n - MIN_MATCH + 1)):
             key = data[p : p + MIN_MATCH]
             prev[p] = head.get(key, -1)
             head[key] = p
         i = end
-    return np.array(bits, dtype=np.uint8)
+    return np.frombuffer(bits, dtype=np.uint8)
 
 
 def decompress_bytes(bits: np.ndarray) -> bytes:
@@ -106,5 +108,9 @@ def lz_compress(texts: list[str]) -> np.ndarray:
 
 
 def lz_decompress(bits: np.ndarray) -> list[str]:
-    return decompress_bytes(bits).decode("utf-8").split("\n")
+    try:
+        text = decompress_bytes(bits).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptStream(f"decoded bytes are not UTF-8: {exc.reason}") from exc
+    return text.split("\n")
 

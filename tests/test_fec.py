@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from textjscc.fec import (
     RsCode,
     gf_inv,
     gf_mul,
+    gf_mul_array,
     plan_budget,
     rs_decode_erasures,
     rs_code,
@@ -32,6 +35,83 @@ def slow_gf_mul(a: int, b: int) -> int:
             a ^= 0x11D
         b >>= 1
     return r
+
+
+def reference_plan_budget(total_bits: int, p_d: float):
+    """The linear-search concrete planner the closed form replaced: the
+    largest k whose greedy block split fits, trying k = total // 8 down."""
+    q = 1.0 - (1.0 - p_d) ** 8
+    cap = total_bits // 8
+    for k in range(cap, 0, -1):
+        blocks = reference_split_blocks(k, q)
+        if blocks is not None and 8 * sum(n for n, _ in blocks) <= total_bits:
+            parity = total_bits - 8 * k
+            return FecPlan(total_bits, p_d, parity, "concrete", blocks)
+    raise DomainError(f"budget of {total_bits} bits cannot host any RS block at p_d={p_d}")
+
+
+def reference_split_blocks(k_total: int, q: float):
+    blocks = []
+    remaining = k_total
+    while remaining > 0:
+        nb, kb = reference_block(min(remaining, 255), q)
+        if nb is None:
+            return None
+        blocks.append((nb, kb))
+        remaining -= kb
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def reference_block(kb: int, q: float):
+    """The linear search's next block for kb data symbols: the shortest valid
+    n, else the largest smaller kb that has one.  Cached, since at p_d >= 0.2
+    each call scans ~255^2 candidates and a 12800-bit plan calls it ~10^5
+    times; (None, None) when no block is valid."""
+    for cand in range(kb + 1, 256):
+        if cand - kb >= math.ceil(1.1 * q * cand - 1e-9):
+            return cand, kb
+    for smaller in range(kb - 1, 0, -1):
+        for cand in range(smaller + 1, 256):
+            if cand - smaller >= math.ceil(1.1 * q * cand - 1e-9):
+                return cand, smaller
+    return None, None
+
+
+def reference_decode_erasures(received, erasures, code):
+    """The list-based Gauss-Jordan erasure decoder the numpy one replaced."""
+    positions = sorted(set(erasures))
+    t = len(positions)
+    if t > code.n - code.k:
+        raise DecodeFailure(f"{t} erasures exceed capability {code.n - code.k}")
+    if t == 0:
+        return list(received[: code.k])
+
+    def poly_eval(poly, x):
+        y = 0
+        for c in poly:
+            y = gf_mul(y, x) ^ c
+        return y
+
+    def power(a, n):
+        return GF_EXP[(GF_LOG[a] * n) % 255]
+
+    cw = [0 if i in set(positions) else received[i] for i in range(code.n)]
+    synd = [poly_eval(cw, GF_EXP[i]) for i in range(t)]
+    betas = [power(GF_EXP[1], code.n - 1 - p) for p in positions]
+    mat = [[power(b, i) for b in betas] + [synd[i]] for i in range(t)]
+    for col in range(t):
+        pivot = next(r for r in range(col, t) if mat[r][col])
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = gf_inv(mat[col][col])
+        mat[col] = [gf_mul(v, inv) for v in mat[col]]
+        for r in range(t):
+            if r != col and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [v ^ gf_mul(factor, w) for v, w in zip(mat[r], mat[col])]
+    for p, row in zip(positions, mat):
+        cw[p] = row[-1]
+    return cw[: code.k]
 
 
 def slow_poly_remainder(dividend: list, divisor: list) -> list:
@@ -63,6 +143,12 @@ class TestGfTables:
     def test_zero_has_no_inverse(self):
         with pytest.raises(DomainError):
             gf_inv(0)
+
+    def test_vector_multiply_matches_scalar_on_all_pairs(self):
+        a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        expected = [[gf_mul(x, y) for y in range(256)] for x in range(256)]
+        assert gf_mul_array(a, b).tolist() == expected
+        assert gf_mul_array(a.astype(np.uint8), b.astype(np.uint8)).tolist() == expected
 
     def test_field_axioms_spot(self):
         rng = np.random.default_rng(1)
@@ -149,6 +235,13 @@ class TestRsDecodeErasures:
         with pytest.raises(DecodeFailure):
             rs_decode_erasures(cw, [0, 1, 2, 3, 4], code)
 
+    def test_position_outside_codeword_is_domain_error(self):
+        code = rs_code(8, 4)
+        cw = rs_encode([1, 2, 3, 4], code)
+        for bad in (9, 8, -1):
+            with pytest.raises(DomainError, match=f"erasure position {bad} outside"):
+                rs_decode_erasures(cw, [0, bad], code)
+
     def test_random_large_code(self):
         code = RsCode(64, 48)
         rng = np.random.default_rng(5)
@@ -159,6 +252,59 @@ class TestRsDecodeErasures:
             pattern = rng.choice(64, size=k, replace=False).tolist()
             received = [0 if i in set(pattern) else cw[i] for i in range(64)]
             assert rs_decode_erasures(received, pattern, code) == data
+
+
+class TestDecodeOracle:
+    """The numpy decoder recovers what the list-based decoder did, for every
+    erasure count up to capability, ignoring whatever the erased slots hold."""
+
+    @pytest.mark.parametrize("n,k", [(255, 160), (64, 48), (50, 31)])
+    def test_matches_reference(self, n, k):
+        code = rs_code(n, k)
+        rng = np.random.default_rng(n * 1000 + k)
+        for t in range(n - k + 1):
+            data = rng.integers(0, 256, size=k).tolist()
+            cw = rs_encode(data, code)
+            pattern = rng.choice(n, size=t, replace=False).tolist()
+            received = list(cw)
+            for p in pattern:
+                received[p] = int(rng.integers(0, 256))
+            got = rs_decode_erasures(received, pattern, code)
+            assert got == reference_decode_erasures(received, pattern, code) == data, t
+
+    @pytest.mark.parametrize("n,k", [(255, 160), (64, 48), (50, 31)])
+    def test_one_past_capability_fails(self, n, k):
+        code = rs_code(n, k)
+        cw = rs_encode([7] * k, code)
+        pattern = list(range(n - k + 1))
+        with pytest.raises(DecodeFailure, match=f"^{n - k + 1} erasures exceed capability {n - k}$"):
+            rs_decode_erasures(cw, pattern, code)
+
+
+class TestPlannerOracle:
+    """The closed-form planner returns the linear search's plans and errors."""
+
+    BITS = list(range(8, 1200, 7)) + [3200, 4000, 6400, 12800]
+    P_D = (0.0, 0.001, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3)
+
+    @staticmethod
+    def _outcome(plan_fn, bits, p_d):
+        try:
+            plan = plan_fn(bits, p_d)
+        except DomainError as exc:
+            return str(exc)
+        return plan.parity_bits, plan.blocks
+
+    @pytest.mark.parametrize("p_d", P_D)
+    def test_matches_linear_search(self, p_d):
+        for bits in self.BITS:
+            got = self._outcome(lambda b, p: plan_budget(b, p, "concrete"), bits, p_d)
+            assert got == self._outcome(reference_plan_budget, bits, p_d), bits
+
+    def test_benchmark_frame(self):
+        plan = plan_budget(12800, 0.05, "concrete")
+        assert plan.blocks == [(255, 160)] * 6 + [(70, 44)]
+        assert plan.parity_bits == 4768
 
 
 class TestPlanBudget:

@@ -5,10 +5,83 @@ from hypothesis import given, settings, strategies as st
 from textjscc.errors import CorruptStream, DomainError
 from textjscc.fixed5 import fixed5_encode
 from textjscc.lzss import (
+    MAX_MATCH,
+    MIN_MATCH,
+    WINDOW,
     compress_bytes,
     decompress_bytes,
     lz_compress,
     lz_decompress,
+)
+from toy_corpus import make_toy_corpus
+
+
+def reference_compress(data: bytes) -> np.ndarray:
+    """The per-bit compressor that table-driven emission replaced."""
+    n = len(data)
+    bits = []
+    head = {}
+    prev = [-1] * n
+
+    def emit_int(value, width):
+        bits.extend((value >> (width - 1 - k)) & 1 for k in range(width))
+
+    i = 0
+    while i < n:
+        best_len = 0
+        best_off = 0
+        if i + MIN_MATCH <= n:
+            j = head.get(data[i : i + MIN_MATCH], -1)
+            max_len = min(MAX_MATCH, n - i)
+            while j >= 0 and i - j <= WINDOW:
+                length = 0
+                while length < max_len and data[j + length] == data[i + length]:
+                    length += 1
+                if length > best_len:
+                    best_len = length
+                    best_off = i - j
+                    if length == MAX_MATCH:
+                        break
+                j = prev[j]
+        if best_len >= MIN_MATCH:
+            bits.append(1)
+            emit_int(best_off - 1, 12)
+            emit_int(best_len - MIN_MATCH, 4)
+            end = i + best_len
+        else:
+            bits.append(0)
+            emit_int(data[i], 8)
+            end = i + 1
+        for p in range(i, min(end, n - MIN_MATCH + 1)):
+            key = data[p : p + MIN_MATCH]
+            prev[p] = head.get(key, -1)
+            head[key] = p
+        i = end
+    return np.array(bits, dtype=np.uint8)
+
+
+def matches(bits) -> list:
+    """(offset, length) of every match token in a stream."""
+    seq = [int(b) for b in bits]
+    out, pos = [], 0
+    while pos < len(seq):
+        if seq[pos]:
+            field = int("".join(map(str, seq[pos + 1 : pos + 17])), 2)
+            out.append(((field >> 4) + 1, (field & 0xF) + MIN_MATCH))
+            pos += 17
+        else:
+            pos += 9
+    return out
+
+
+# chunks of at least MAX_MATCH bytes repeated past >= 256 bytes of filler:
+# long offsets and 18-byte matches
+repetitive = st.builds(
+    lambda chunk, filler, reps, tail: (chunk + filler) * reps + tail,
+    st.binary(min_size=MAX_MATCH, max_size=40),
+    st.binary(min_size=256, max_size=800),
+    st.integers(2, 6),
+    st.binary(max_size=1000),
 )
 
 
@@ -56,6 +129,29 @@ class TestCompressBytes:
         assert decompress_bytes(compress_bytes(data)) == data
 
 
+class TestReferenceBitExact:
+    """compress_bytes emits the per-bit reference's stream bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.binary(max_size=5000), repetitive))
+    def test_binaries(self, data):
+        assert np.array_equal(compress_bytes(data), reference_compress(data))
+
+    def test_long_offsets_and_full_matches(self):
+        rng = np.random.default_rng(4)
+        filler = bytes(rng.integers(0, 256, size=700).tolist())
+        data = (b"a twenty byte phrase" + filler) * 4
+        bits = compress_bytes(data)
+        assert np.array_equal(bits, reference_compress(data))
+        found = matches(bits)
+        assert max(off for off, _ in found) >= 256
+        assert (len(filler) + 20, MAX_MATCH) in found
+
+    def test_sentence_batch(self):
+        data = "\n".join(make_toy_corpus(32)).encode("utf-8")
+        assert np.array_equal(compress_bytes(data), reference_compress(data))
+
+
 class TestBatchApi:
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
@@ -64,6 +160,11 @@ class TestBatchApi:
     def test_round_trip_batch(self):
         texts = ["the cat sat", "a dog ran", "the cat sat again"]
         assert lz_decompress(lz_compress(texts)) == texts
+
+    def test_non_utf8_output_is_corrupt_stream(self):
+        # one literal 0xFF: a valid token stream, but not UTF-8 text
+        with pytest.raises(CorruptStream, match="not UTF-8"):
+            lz_decompress(np.array([0, 1, 1, 1, 1, 1, 1, 1, 1], dtype=np.uint8))
 
     def test_single_empty_sentence(self):
         assert lz_decompress(lz_compress([""])) == [""]

@@ -32,6 +32,9 @@ print(json.dumps(out))
 
 BASELINE_LAYERS = ("huffman.huffman_encode", "fixed5.fixed5_encode", "lzss.lz_compress",
                    "fec.plan_budget", "fec.transmit_baseline")
+# idealized FEC copies the bits; only concrete FEC runs the RS kernels, and a
+# transmit_baseline that stopped calling them would zero these layers
+CONCRETE_LAYERS = ("fec.rs_encode", "fec.rs_decode_erasures")
 
 
 def _run(args):
@@ -51,4 +54,6 @@ def test_traced_sweeps_see_every_layer():
         assert got["failed"] == 0, name
         for layer in BASELINE_LAYERS:
             assert got["calls"][layer] > 0, (name, layer)
+    for layer in CONCRETE_LAYERS:
+        assert runs["sweep-concrete"]["calls"][layer] > 0, layer
     assert runs["sweep-idealized"]["calls"]["model.beam_search_decode"] > 0
