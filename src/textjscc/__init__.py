@@ -32,7 +32,7 @@ from .model import (
     binarize_stochastic,
     load_pretrained_embeddings,
 )
-from .sweeps import SweepResult, SweepSpec, emit_results, load_results, run_sweep
+from .sweeps import SweepResult, SweepSpec, emit_results, run_sweep
 from .training import EpochLog, Trainer, TrainSettings, tf_schedule
 
 __version__ = "0.1.0"
@@ -52,5 +52,5 @@ __all__ = [
     "JsccConfig", "JsccModel", "binarize_stochastic", "binarize_deterministic",
     "load_pretrained_embeddings",
     "Trainer", "TrainSettings", "EpochLog", "tf_schedule",
-    "SweepSpec", "SweepResult", "run_sweep", "emit_results", "load_results",
+    "SweepSpec", "SweepResult", "run_sweep", "emit_results",
 ]

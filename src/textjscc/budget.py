@@ -1,7 +1,9 @@
 """Bit-budget truncation: drop trailing words until the encoding fits.
 
 Each dropped word is a guaranteed word error, so under a lossless channel the
-resulting WER is exactly words_dropped / m.
+resulting WER is exactly words_dropped / m.  The batched search gives LZSS
+the bit limit it must meet, and an attempt over that limit stops parsing at
+its first token past it (see `lzss`).
 """
 
 from __future__ import annotations
@@ -58,15 +60,18 @@ def encode_batch_with_budget(
 
     The budget is per sentence; the batch fits when total bits <= budget * B.
     Words are dropped one at a time from the currently longest sentence
-    (ties: lowest index), so all members degrade together.
+    (ties: lowest index), so all members degrade together.  Each attempt
+    parses the whole batch with the bit limit budget * B, so one that fails
+    stops at its first token past the limit, and the one that fits returns
+    its own stream; the attempts and the output are those of full parses.
     """
     if budget < 0:
         raise DomainError("budget must be nonnegative")
     kept = [list(words) for words in batch]
     n = len(kept)
     while True:
-        bits = lz_compress([" ".join(w) for w in kept])
-        if bits.size <= budget * n:
+        bits = lz_compress([" ".join(w) for w in kept], budget * n)
+        if bits is not None:
             dropped = [len(orig) - len(now) for orig, now in zip(batch, kept)]
             return BatchBudgetedEncoding(bits, kept, dropped, True)
         lengths = [len(w) for w in kept]

@@ -62,6 +62,15 @@ def _require_file(path: str | None, what: str) -> str:
     return path
 
 
+def _load_model_for(path: str, what: str, vocab: Vocabulary) -> JsccModel:
+    """Load a checkpoint that must have been trained with this vocabulary."""
+    model, _ = load_model(_require_file(path, what))
+    if model.config.vocab_size != len(vocab):
+        raise ConfigError(f"{what} {path} was trained with {model.config.vocab_size} "
+                          f"vocabulary tokens, but the vocabulary has {len(vocab)}")
+    return model
+
+
 def _out_path(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg["out"], exist_ok=True)
     return os.path.join(cfg["out"], name)
@@ -165,8 +174,8 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
     channel_cfg = cfg.channel_config()
 
     if args.system == "deep":
-        ckpt = args.checkpoint or _out_path(cfg, "model.tjscc")
-        model, _ = load_model(_require_file(ckpt, "checkpoint"))
+        model = _load_model_for(args.checkpoint or _out_path(cfg, "model.tjscc"),
+                                "checkpoint", vocab)
         codeword = model.encode(sent.ids, "deterministic")
         obs = erase(codeword, channel_cfg, channel_cfg.stream(0))
         hyp = model.beam_search_decode(obs, cfg["model.beam_width"])
@@ -204,9 +213,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = cfg.sweep_spec()
     models = {}
     for path in cfg["sweep.checkpoints"]:
-        model, _ = load_model(_require_file(path, "sweep checkpoint"))
-        if model.config.vocab_size != len(vocab):
-            raise ConfigError(f"checkpoint {path} was trained with a different vocabulary")
+        model = _load_model_for(path, "sweep checkpoint", vocab)
         models[model.config.bits] = model
     codebook = _codebook(cfg) if "huffman" in spec.systems else None
     table = run_sweep(spec, sentences, models=models, codebook=codebook)
@@ -223,8 +230,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_embed(cfg: RunConfig, args) -> int:
     vocab = Vocabulary.load(_require_file(_out_path(cfg, "vocab.txt"), "vocabulary"))
-    ckpt = args.checkpoint or _out_path(cfg, "model.tjscc")
-    model, _ = load_model(_require_file(ckpt, "checkpoint"))
+    model = _load_model_for(args.checkpoint or _out_path(cfg, "model.tjscc"),
+                            "checkpoint", vocab)
     lines = corpus_mod.read_lines(_require_file(args.sentences, "sentences file"))
     if not lines:
         raise ConfigError(f"no sentences in {args.sentences}")

@@ -6,9 +6,17 @@ Token bit format (fully pinned so streams are golden-testable):
 Window 4096, match lengths 3..18, greedy longest match (nearest offset wins
 ties).  Sentences in a batch are joined with newlines before parsing, which
 is what amortizes the cost across the batch.
+
+Early exit: given a bit `limit`, the parse stops at the first token whose
+emission takes the stream past `limit` bits and returns None.  Tokens are
+only ever appended, so the stream's size is then already over the limit; a
+stream that ends within the limit is returned whole, bit for bit the one an
+unlimited parse gives.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -29,9 +37,13 @@ _BYTE_BITS = [bytes((v >> (7 - k)) & 1 for k in range(8)) for v in range(256)]
 _NIBBLE_BITS = [bytes((v >> (3 - k)) & 1 for k in range(4)) for v in range(16)]
 
 
-def compress_bytes(data: bytes) -> np.ndarray:
-    """Greedy LZSS parse of a byte string into the token bit stream."""
+def compress_bytes(data: bytes, limit: int | None = None) -> np.ndarray | None:
+    """Greedy LZSS parse of a byte string into the token bit stream, or None
+    as soon as the stream exceeds `limit` bits."""
+    if limit is not None and limit < 0:
+        raise DomainError("bit limit must be nonnegative")
     n = len(data)
+    cap = sys.maxsize if limit is None else limit
     bits = bytearray()
     head: dict[bytes, int] = {}
     prev = [-1] * n
@@ -62,6 +74,8 @@ def compress_bytes(data: bytes) -> np.ndarray:
             bits.append(0)
             bits += _BYTE_BITS[data[i]]
             end = i + 1
+        if len(bits) > cap:
+            return None
         for p in range(i, min(end, n - MIN_MATCH + 1)):
             key = data[p : p + MIN_MATCH]
             prev[p] = head.get(key, -1)
@@ -100,11 +114,12 @@ def decompress_bytes(bits: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def lz_compress(texts: list[str]) -> np.ndarray:
-    """Jointly compress a batch of sentences (newline-joined)."""
+def lz_compress(texts: list[str], limit: int | None = None) -> np.ndarray | None:
+    """Jointly compress a batch of sentences (newline-joined); None once the
+    stream exceeds `limit` bits."""
     if len(texts) < 1:
         raise DomainError("batch must hold at least one sentence")
-    return compress_bytes("\n".join(texts).encode("utf-8"))
+    return compress_bytes("\n".join(texts).encode("utf-8"), limit)
 
 
 def lz_decompress(bits: np.ndarray) -> list[str]:

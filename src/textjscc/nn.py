@@ -27,19 +27,34 @@ from .errors import EmptySequence, ShapeError
 
 
 class Parameter:
-    """A trainable array paired with its gradient accumulator."""
+    """A trainable array paired with its gradient accumulator.
+
+    The accumulator is allocated on first access, so a model that only
+    encodes and decodes holds no gradient memory.
+    """
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.value = np.ascontiguousarray(value)
-        self.grad = np.zeros_like(self.value)
+        self._grad: np.ndarray | None = None
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self):
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"

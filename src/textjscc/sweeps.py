@@ -235,22 +235,3 @@ def emit_results(table: list[SweepResult], path: str, format: str = "csv") -> No
     except OSError as exc:
         raise IoError(f"cannot write results to {path}: {exc}") from exc
 
-
-def load_results(path: str, format: str = "csv") -> list[SweepResult]:
-    """Inverse of emit_results."""
-    try:
-        if format == "csv":
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                if tuple(header) != COLUMNS:
-                    raise IoError(f"unexpected results header in {path}")
-                return [SweepResult(float(r[0]), r[1], float(r[2]), float(r[3]),
-                                    int(r[4]), int(r[5])) for r in reader]
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        return [SweepResult(float(r["axis_value"]), r["system"], float(r["mean_wer"]),
-                            float(r["stderr"]), int(r["trials"]), int(r["seed"]))
-                for r in rows]
-    except OSError as exc:
-        raise IoError(f"cannot read results from {path}: {exc}") from exc

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, find, given, settings, strategies as st
 
 from textjscc.budget import encode_batch_with_budget, encode_with_budget
 from textjscc.errors import DomainError
 from textjscc.fixed5 import fixed5_decode, fixed5_encode
+from textjscc.lzss import lz_compress
 from textjscc.metrics import wer
 
 
@@ -83,3 +85,66 @@ class TestEncodeBatchWithBudget:
         solo = encode_batch_with_budget(batch[:1], budget=10**6).bits.size
         bbe = encode_batch_with_budget(batch, budget=solo)
         assert bbe.fits and bbe.words_dropped == [0, 0, 0, 0]
+
+
+def reference_batch_budget(batch, budget):
+    """The search as it was before the bit limit: a full parse per attempt.
+    Returns (bits, kept, words_dropped, fits, size of every attempt)."""
+    kept = [list(words) for words in batch]
+    n = len(kept)
+    sizes = []
+    while True:
+        bits = lz_compress([" ".join(w) for w in kept])
+        sizes.append(bits.size)
+        if bits.size <= budget * n:
+            dropped = [len(orig) - len(now) for orig, now in zip(batch, kept)]
+            return bits, kept, dropped, True, sizes
+        lengths = [len(w) for w in kept]
+        longest = max(lengths)
+        if longest == 0:
+            dropped = [len(orig) for orig in batch]
+            return np.zeros(0, dtype=np.uint8), kept, dropped, False, sizes
+        kept[lengths.index(longest)].pop()
+
+
+# words that share substrings, so matches form, break and re-form as words drop
+WORDS = st.one_of(st.sampled_from(["the", "cat", "sat", "hat", "at", "a", "then",
+                                    "that", "theta", "on", "mat"]),
+                  st.text(alphabet="aeht", min_size=1, max_size=6))
+BATCHES = st.lists(st.lists(WORDS, max_size=10), min_size=1, max_size=8)
+
+
+@st.composite
+def batch_and_budget(draw):
+    batch = draw(BATCHES)
+    full = lz_compress([" ".join(w) for w in batch]).size
+    return batch, draw(st.integers(0, full // len(batch) + 10))
+
+
+def non_monotone(case) -> bool:
+    """Some dropped word made the LZSS stream longer."""
+    sizes = reference_batch_budget(*case)[4]
+    return any(b > a for a, b in zip(sizes, sizes[1:]))
+
+
+class TestBatchBudgetMatchesFullParses:
+    @settings(max_examples=300, deadline=None)
+    @given(batch_and_budget())
+    def test_equals_reference(self, case):
+        batch, budget = case
+        bits, kept, dropped, fits, _ = reference_batch_budget(batch, budget)
+        got = encode_batch_with_budget(batch, budget)
+        assert np.array_equal(got.bits, bits)
+        assert got.bits.dtype == bits.dtype
+        assert got.kept == kept
+        assert got.words_dropped == dropped
+        assert got.fits == fits
+
+    def test_strategy_reaches_non_monotone_drops(self):
+        batch, budget = find(batch_and_budget(), non_monotone,
+                             settings=settings(max_examples=2000, database=None,
+                                               suppress_health_check=list(HealthCheck)))
+        got = encode_batch_with_budget(batch, budget)
+        bits, kept, dropped, fits, _ = reference_batch_budget(batch, budget)
+        assert np.array_equal(got.bits, bits) and got.kept == kept
+        assert got.words_dropped == dropped and got.fits == fits

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from textjscc import cli
-from textjscc.checkpoint import load_model
+from textjscc.checkpoint import load_model, save_checkpoint
 from textjscc.config import DEFAULTS
 from textjscc.corpus import SPECIALS, Vocabulary, tokenize
 from textjscc.model import JsccConfig, JsccModel
@@ -325,6 +325,42 @@ class TestEmbedCommand:
         code = run(["embed", "--sentences", str(sentences)] + SMALL_MODEL + base)
         assert code == 3
         assert "point" in capsys.readouterr().err
+
+
+class TestVocabularyMismatch:
+    """A checkpoint trained with another vocabulary size is a config error
+    in every command that loads one, in either direction."""
+
+    COMMANDS = {
+        "transmit": lambda tmp, ckpt: ["transmit", "--sentence", "the cat sat on the mat .",
+                                       "--system", "deep", "--checkpoint", ckpt],
+        "sweep": lambda tmp, ckpt: ["sweep", "--set", "sweep.systems=[deep]",
+                                    "--set", "sweep.values=[24]", "--set", "sweep.trials=1",
+                                    "--set", f"sweep.checkpoints=[{ckpt}]"],
+        "embed": lambda tmp, ckpt: ["embed", "--sentences", str(tmp / "sents.txt"),
+                                    "--checkpoint", ckpt],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("direction", ["smaller", "larger"])
+    def test_exits_2_without_traceback(self, workdir, capsys, command, direction):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        (tmp / "sents.txt").write_text("the cat sat on the mat .\na dog ran across the street .\n")
+        vocab = Vocabulary.load(str(out / "vocab.txt"))
+        # a smaller checkpoint meets word ids past its embedding table; a
+        # larger one would decode ids the vocabulary does not hold
+        vocab_size = 8 if direction == "smaller" else len(vocab) + 5
+        model = JsccModel(JsccConfig(vocab_size=vocab_size, embed_dim=12, encoder_hidden=8,
+                                     decoder_hidden=12, bits=24), seed=0)
+        ckpt = str(tmp / "other.tjscc")
+        save_checkpoint(ckpt, model)
+        capsys.readouterr()
+        code = run(self.COMMANDS[command](tmp, ckpt) + SMALL_MODEL + base)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"trained with {vocab_size} vocabulary tokens" in err
+        assert "Traceback" not in err
 
 
 class TestGradcheckCommand:

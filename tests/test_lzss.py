@@ -179,3 +179,33 @@ class TestBatchApi:
         two = lz_compress(texts).size
         one = lz_compress(texts[:1]).size
         assert two < 2 * one
+
+
+class TestBitLimit:
+    """lz_compress(texts, limit) is None exactly when the full stream is
+    longer than limit; otherwise it is the full stream."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.text(alphabet="abc é", max_size=40), min_size=1, max_size=4),
+           st.data())
+    def test_limit_matches_full_parse(self, texts, data):
+        full = lz_compress(texts)
+        limit = data.draw(st.integers(0, full.size + 20))
+        got = lz_compress(texts, limit)
+        if full.size > limit:
+            assert got is None
+        else:
+            assert np.array_equal(got, full)
+
+    def test_exact_size_fits_and_one_bit_less_does_not(self):
+        texts = ["the cat sat on the mat", "the cat sat"]
+        full = lz_compress(texts)
+        assert np.array_equal(lz_compress(texts, full.size), full)
+        assert lz_compress(texts, full.size - 1) is None
+
+    def test_empty_input_fits_limit_zero(self):
+        assert compress_bytes(b"", 0).size == 0
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(DomainError):
+            compress_bytes(b"abc", -1)

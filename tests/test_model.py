@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from textjscc.corpus import EOS_ID, SOS_ID
+from textjscc.corpus import EOS_ID, SOS_ID, TokenizedSentence
 from textjscc.errors import DomainError, ShapeError
 from textjscc.model import (
     JsccConfig,
@@ -412,3 +413,31 @@ class TestStraightThroughInvariant:
         assert masked[2, 0] == 0.0
         model.encode_backward(enc_cache, masked)  # must run cleanly
         assert any(np.any(p.grad != 0) for p in model.parameters())
+
+
+class TestGradientMemory:
+    def test_inference_allocates_no_gradients(self):
+        """A model that only encodes and decodes holds no gradient buffers."""
+        config = tiny_config(vocab_size=40, embed_dim=24, encoder_hidden=32,
+                             decoder_hidden=48, bits=16)
+        sents = [TokenizedSentence([4 + i, 5, 6 + i % 3][: 2 + i % 2], "") for i in range(6)]
+
+        def infer():
+            model = JsccModel(config, seed=0)
+            codewords = model.encode_sentences(sents)
+            model.beam_search_decode(codewords[0].astype(np.float64))
+            return model
+
+        infer()  # lazy imports and caches are not the model's memory
+        tracemalloc.start()
+        try:
+            model = infer()
+            inference, _ = tracemalloc.get_traced_memory()
+            for p in model.parameters():
+                p.grad  # first access allocates the accumulator
+            training, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.value.nbytes for p in model.parameters())
+        assert inference < 1.5 * param_bytes, (inference, param_bytes)
+        assert training - inference >= param_bytes  # the measure sees gradient buffers

@@ -30,8 +30,11 @@ for name in ("sweep-concrete", "sweep-idealized"):
 print(json.dumps(out))
 """
 
+# the batch budget search must reach lz_compress through the traced
+# budget function, or its parses would show under no budget span
 BASELINE_LAYERS = ("huffman.huffman_encode", "fixed5.fixed5_encode", "lzss.lz_compress",
-                   "fec.plan_budget", "fec.transmit_baseline")
+                   "budget.encode_batch_with_budget", "fec.plan_budget",
+                   "fec.transmit_baseline")
 # idealized FEC copies the bits; only concrete FEC runs the RS kernels, and a
 # transmit_baseline that stopped calling them would zero these layers
 CONCRETE_LAYERS = ("fec.rs_encode", "fec.rs_decode_erasures")

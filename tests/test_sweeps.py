@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from textjscc.fixed5 import fixed5_encode
 from textjscc.huffman import codebook_for_pipeline, huffman_encode
 from textjscc.lzss import lz_compress
 from textjscc.model import JsccConfig, JsccModel
-from textjscc.sweeps import SweepResult, SweepSpec, emit_results, load_results, run_sweep
+from textjscc.sweeps import SweepResult, SweepSpec, emit_results, run_sweep
 
 SENTENCES = [
     "the cat sat on the mat .",
@@ -181,12 +182,19 @@ class TestEmitResults:
     def test_csv_round_trip(self, tmp_path):
         path = str(tmp_path / "r.csv")
         emit_results(self._table(), path, "csv")
-        assert load_results(path, "csv") == self._table()
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["axis_value", "system", "mean_wer", "stderr",
+                                    "trials", "seed"]
+            rows = [SweepResult(float(r[0]), r[1], float(r[2]), float(r[3]),
+                                int(r[4]), int(r[5])) for r in reader]
+        assert rows == self._table()
 
     def test_json_round_trip(self, tmp_path):
         path = str(tmp_path / "r.json")
         emit_results(self._table(), path, "json")
-        assert load_results(path, "json") == self._table()
+        with open(path) as fh:
+            assert [SweepResult(**row) for row in json.load(fh)] == self._table()
 
     def test_json_matches_schema(self, tmp_path):
         import importlib.resources
