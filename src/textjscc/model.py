@@ -28,8 +28,10 @@ from .nn import (
     dense_backward,
     dense_forward,
     glorot,
+    log_softmax,
     lstm_cell_backward,
     lstm_cell_forward,
+    matmul,
     softmax_cross_entropy,
 )
 
@@ -292,7 +294,7 @@ class JsccModel:
             new_states.append((h, c))
             caches.append(cache)
             inp = h
-        logits = self.W_out.value @ inp + self.b_out.value
+        logits = matmul(self.W_out.value, inp) + self.b_out.value
         return logits, new_states, caches
 
     def decode_teacher_forced(self, obs, targets, tf_prob: float,
@@ -415,11 +417,8 @@ class JsccModel:
         finished: list[tuple[list[int], float]] = []
         for _ in range(max_len):
             logits, new_states, _ = self._decoder_step(self.embed.value[last].T, states)
-            # log-softmax without the softmax, so underflow stays finite; one
-            # contiguous row per hypothesis
-            z = np.ascontiguousarray(logits.T)
-            z -= z.max(axis=1, keepdims=True)
-            z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+            # one contiguous row per hypothesis
+            z = log_softmax(np.ascontiguousarray(logits.T), axis=1)
             scores = (logp[:, None] + z).ravel()  # index = hypothesis * vocab + token
             kth = max(scores.size - beam_width, 0)  # the beam_width-th best score
             pool = np.flatnonzero(scores >= np.partition(scores, kth)[kth])

@@ -17,9 +17,23 @@ Each cell stores these in stacked-gate form (the cuDNN layout): Wx (4h, d)
 stacks W_ix, W_fx, W_gx, W_ox; Wh (4h, h) stacks W_ih, W_fh, W_gh, W_oh;
 b (4h, 1) stacks b_i, b_f, b_g, b_o; p (3h, 1) stacks p_i, p_f, p_o.  A step
 takes one product with each of Wx and Wh and reads the gates as row slices.
+
+Narrow products.  Beam search multiplies every decoder weight by a handful of
+columns, one step at a time.  OpenBLAS multiplies without packing W into its
+blocked layout only when M*N*K <= 10**6 (its small-matrix path); above that
+cutoff each call repacks the whole of W, which at 4 columns costs several
+times the arithmetic.  `matmul` therefore runs such a product as one batched
+product over a (m // r, r, k) view of W whose row panels each fall under the
+cutoff.  The panels sum in another order than the packed kernel, so the
+result agrees with `W @ x` only within round-off.  Products with one column
+(BLAS runs them as matrix-vector products, which do not pack) or with more
+than NARROW_COLUMNS columns (which amortize the packing) stay plain `W @ x`,
+so training batches never take the panel path.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,7 +55,8 @@ class Parameter:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            # np.zeros callocs: a large array's pages are zeroed at first write
+            self._grad = np.zeros(self.value.shape, self.value.dtype)
         return self._grad
 
     @grad.setter
@@ -70,6 +85,35 @@ def glorot(shape: tuple[int, int], rng: np.random.Generator, dtype) -> np.ndarra
 def zero_grads(params) -> None:
     for p in params:
         p.zero_grad()
+
+
+SMALL_GEMM_MNK = 10**6  # OpenBLAS multiplies without packing W up to this M*N*K
+MIN_PANEL_ROWS = 128
+NARROW_COLUMNS = 16
+
+
+@functools.lru_cache(maxsize=256)
+def _panel_rows(m: int, n: int, k: int) -> int:
+    """Rows per panel for an (m, k) @ (k, n) product: the largest divisor r
+    of m, at least MIN_PANEL_ROWS, with r*n*k <= SMALL_GEMM_MNK; m when the
+    product should stay whole."""
+    if n == 1 or n > NARROW_COLUMNS or m * n * k <= SMALL_GEMM_MNK:
+        return m
+    for r in range(min(SMALL_GEMM_MNK // (n * k), m), MIN_PANEL_ROWS - 1, -1):
+        if m % r == 0:
+            return r
+    return m
+
+
+def matmul(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W @ x for a 2-D x, split into row panels of W when x is narrow (see
+    the module docstring)."""
+    m, k = W.shape
+    n = x.shape[1]
+    r = _panel_rows(m, n, k)
+    if r == m:
+        return W @ x
+    return np.matmul(W.reshape(m // r, r, k), x).reshape(m, n)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -140,8 +184,8 @@ def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_pr
         raise ShapeError("cell state dims do not match hidden_dim")
     n = p.hidden_dim
     peep = p.p.value
-    z = p.Wx.value @ x
-    z += p.Wh.value @ h_prev
+    z = matmul(p.Wx.value, x)
+    z += matmul(p.Wh.value, h_prev)
     z += p.b.value
     z[:n] += peep[:n] * c_prev
     z[n:2 * n] += peep[n:2 * n] * c_prev
@@ -254,6 +298,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+def log_softmax(z: np.ndarray, axis: int = 0) -> np.ndarray:
+    """log softmax along `axis`, computed without the softmax so that
+    entries whose probability underflows stay finite."""
+    out = z - z.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+    return out
+
+
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean over columns of -log softmax at the target row.
 
@@ -265,10 +317,10 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
         raise ShapeError(f"targets shape {targets.shape} does not match {b} columns")
     if np.any(targets < 0) or np.any(targets >= v):
         raise IndexError("target id outside logit rows")
-    probs = softmax(logits)
-    picked = probs[targets, np.arange(b)]
-    loss = float(-np.log(np.maximum(picked, np.finfo(probs.dtype).tiny)).mean())
-    dlogits = probs.copy()
-    dlogits[targets, np.arange(b)] -= 1.0
+    lsm = log_softmax(logits, axis=0)
+    cols = np.arange(b)
+    loss = float(-lsm[targets, cols].mean())
+    dlogits = np.exp(lsm)
+    dlogits[targets, cols] -= 1.0
     dlogits /= b
     return loss, dlogits

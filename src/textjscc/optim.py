@@ -29,8 +29,9 @@ class AdamState:
         self.params = list(params)
         self.lr, self.beta1, self.beta2, self.eps, self.clip = lr, beta1, beta2, eps, clip
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        # np.zeros callocs: a large array's pages are zeroed at first write
+        self.m = [np.zeros(p.shape, p.value.dtype) for p in self.params]
+        self.v = [np.zeros(p.shape, p.value.dtype) for p in self.params]
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> None:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from textjscc import model as model_module
+from textjscc import nn
 from textjscc.corpus import EOS_ID, SOS_ID, TokenizedSentence
 from textjscc.errors import DomainError, ShapeError
 from textjscc.model import (
@@ -394,6 +396,48 @@ class TestBatchedBeamOracle:
         with pytest.raises(ShapeError):
             model.beam_search_decode(obs[None])
         assert model.beam_search_decode(obs[:, :1]) == model.beam_search_decode(obs[:, 0])
+
+
+class TestPanelDecode:
+    """Beam search over narrow products split into row panels (nn.matmul)."""
+
+    @staticmethod
+    def _plain(W, x):
+        return W @ x
+
+    def test_tokens_match_plain_products(self, monkeypatch):
+        config = tiny_config(vocab_size=300, embed_dim=64, encoder_hidden=32,
+                             decoder_hidden=256, bits=64, beam_width=4,
+                             max_decode_len=12, precision="f32")
+        assert nn._panel_rows(4 * 256, 4, 256) < 4 * 256  # the beam reaches the panels
+        model = JsccModel(config, seed=0)
+        rng = np.random.default_rng(7)
+        observations = []
+        for _ in range(6):
+            obs = rng.choice([-1, 1], size=config.bits).astype(np.float32)
+            obs[rng.random(obs.size) < 0.05] = 0
+            observations.append(obs)
+        paneled = [model.beam_search_decode(obs) for obs in observations]
+        monkeypatch.setattr(nn, "matmul", self._plain)
+        monkeypatch.setattr(model_module, "matmul", self._plain)
+        assert paneled == [model.beam_search_decode(obs) for obs in observations]
+
+    @pytest.mark.parametrize("stacks", [1, 2, 3])
+    def test_one_step_runs_every_product_through_matmul(self, monkeypatch, stacks):
+        """Two products per LSTM stack plus the vocabulary projection; a bare
+        `@` on the decode path would drop a call."""
+        calls = []
+
+        def counting(W, x):
+            calls.append(W.shape)
+            return W @ x
+
+        model = JsccModel(tiny_config(decoder_stacks=stacks), seed=0)
+        obs = model.encode([4, 5, 6], "deterministic")
+        monkeypatch.setattr(nn, "matmul", counting)
+        monkeypatch.setattr(model_module, "matmul", counting)
+        model.beam_search_decode(obs, beam_width=3, max_len=1)
+        assert len(calls) == 2 * stacks + 1
 
 
 class TestStraightThroughInvariant:

@@ -11,14 +11,17 @@ from textjscc.gradcheck import (
     check_softmax,
     gradient_check,
 )
+from textjscc.model import JsccConfig, JsccModel
 from textjscc.nn import (
     LstmCellParams,
     Parameter,
+    _panel_rows,
     blstm_layer_forward,
     dense_backward,
     dense_forward,
     glorot,
     lstm_cell_forward,
+    matmul,
     softmax,
     softmax_cross_entropy,
 )
@@ -236,8 +239,76 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(IndexError):
             softmax_cross_entropy(np.zeros((3, 1)), np.array([3]))
 
+    def test_underflowed_target_keeps_its_loss(self):
+        """A target 200 nats below the max underflows its f32 probability to
+        0; the loss still reads 200 and the gradient stays finite."""
+        logits = np.zeros((5, 1), dtype=np.float32)
+        logits[0, 0] = 200.0
+        loss, dlogits = softmax_cross_entropy(logits, np.array([1]))
+        assert loss == pytest.approx(200.0, rel=1e-6)
+        assert np.all(np.isfinite(dlogits))
+        assert dlogits[0, 0] == pytest.approx(1.0)
+        assert dlogits[1, 0] == pytest.approx(-1.0)
+
     def test_gradcheck(self):
         assert check_softmax(0) < 1e-6
+
+
+class TestNarrowMatmul:
+    @staticmethod
+    def _operands(m, n, k, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((m, k)).astype(dtype),
+                rng.standard_normal((k, n)).astype(dtype))
+
+    def test_panel_sizes(self):
+        assert _panel_rows(2048, 4, 512) == 256
+        assert _panel_rows(1000, 4, 512) == 250
+        assert _panel_rows(2048, 4, 200) == 1024
+
+    def test_whole_product_cases(self):
+        assert _panel_rows(2048, 1, 512) == 2048
+        assert _panel_rows(2053, 4, 512) == 2053  # prime: no panel height divides it
+        model = JsccModel(JsccConfig(vocab_size=1000), seed=0)
+        cells = [cell for pair in model.encoder for cell in pair] + model.decoder
+        weights = [w.value for cell in cells for w in (cell.Wx, cell.Wh)] + [model.W_out.value]
+        for n in (128, 32):  # training batch and greedy train-WER batch
+            for W in weights:
+                assert _panel_rows(W.shape[0], n, W.shape[1]) == W.shape[0], (W.shape, n)
+
+    @pytest.mark.parametrize("m, n, k", [(300, 4, 256), (2048, 1, 512), (2048, 32, 512),
+                                         (2053, 4, 512)])
+    def test_plain_path_is_exact(self, m, n, k):
+        W, x = self._operands(m, n, k, np.float32)
+        assert _panel_rows(m, n, k) == m
+        assert np.array_equal(matmul(W, x), W @ x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, n, k", [(2048, 4, 512), (2048, 2, 512), (2048, 8, 200),
+                                         (1000, 4, 512), (999, 3, 512), (1536, 16, 200),
+                                         (1024, 4, 256)])
+    def test_panel_path_agrees_within_roundoff(self, m, n, k, dtype):
+        W, x = self._operands(m, n, k, dtype, seed=m + n + k)
+        assert _panel_rows(m, n, k) < m
+        got = matmul(W, x)
+        # each side is within k*eps*(|W| @ |x|) of the exact product
+        bound = 2 * k * np.finfo(dtype).eps * (np.abs(W) @ np.abs(x))
+        assert got.shape == (m, n) and got.dtype == dtype
+        assert np.all(np.abs(got - W @ x) <= bound)
+
+    def test_panels_are_a_view_of_the_weights(self, monkeypatch):
+        W, x = self._operands(2048, 4, 512, np.float32)
+        seen = []
+        batched = np.matmul
+
+        def spy(a, b):
+            seen.append(a)
+            return batched(a, b)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        matmul(W, x)
+        assert len(seen) == 1 and seen[0].shape == (8, 256, 512)
+        assert np.shares_memory(seen[0], W)
 
 
 class TestOptimizers:
