@@ -30,23 +30,19 @@ class ChannelConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
 
 
-def erase(codeword: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def erase(codeword: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     """Erase each {-1,+1} entry to 0 independently with probability p_d.
 
     Works elementwise on any shape, so a whole (bits, batch) matrix can be
     transmitted in one call.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     cw = np.asarray(codeword)
     mask = rng.random(cw.shape) >= cfg.p_d
     return (cw * mask).astype(np.int8)
 
 
-def erase_bitstream(bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def erase_bitstream(bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     """Same channel over a {0,1} alphabet; erased positions become ERASED (-1)."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     b = np.asarray(bits, dtype=np.int8)
     out = b.copy()
     out[rng.random(b.shape) < cfg.p_d] = ERASED

@@ -13,12 +13,12 @@ files, which held fifteen per-gate arrays per cell, are rejected.
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
 
 from .errors import IoError, ShapeError
+from .fileio import write_atomic
 from .model import JsccConfig, JsccModel
 from .optim import AdamState
 
@@ -50,19 +50,14 @@ def save_checkpoint(path: str, model: JsccModel, adam: AdamState | None = None,
         for p, v in zip(adam.params, adam.v):
             blobs.append((f"adam.v.{p.name}", v))
 
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<B", itemsize))
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", len(blobs)))
-            for name, arr in blobs:
-                _write_blob(fh, name, arr)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    with write_atomic(path, binary=True) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<B", itemsize))
+        fh.write(struct.pack("<I", len(payload)))
+        fh.write(payload)
+        fh.write(struct.pack("<I", len(blobs)))
+        for name, arr in blobs:
+            _write_blob(fh, name, arr)
 
 
 def read_checkpoint(path: str) -> tuple[JsccConfig, dict, dict[str, np.ndarray]]:

@@ -2,10 +2,10 @@
 
 Subcommands: prepare, train, transmit, sweep, embed, gradcheck.  Every
 command validates its configuration before touching the filesystem, all
-output files are written atomically, and all randomness flows from the
-single config seed.  `transmit` and `sweep` send the baselines through the
-same dispatch (sweeps.encode_group and sweeps.transmit_group), and the
-system names come from sweeps.SYSTEMS.
+output files are written atomically through fileio.write_atomic, and all
+randomness flows from the single config seed.  `transmit` and `sweep` send
+the baselines through the same dispatch (sweeps.encode_group and
+sweeps.transmit_group), and the system names come from sweeps.SYSTEMS.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error.
 Set TEXTJSCC_LOG to error, info, or debug to control verbosity.
@@ -36,6 +36,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DecodeFailure, IoError, TextJsccError
 from .fec import plan_budget
+from .fileio import write_atomic
 from .gradcheck import run_verification_suite
 from .huffman import HuffmanCodebook, codebook_for_pipeline
 from .metrics import wer
@@ -72,7 +73,6 @@ def _load_model_for(path: str, what: str, vocab: Vocabulary) -> JsccModel:
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg["out"], exist_ok=True)
     return os.path.join(cfg["out"], name)
 
 
@@ -109,14 +109,12 @@ def _load_prepared(cfg: RunConfig):
 
 
 def _write_trainlog(path: str, rows: list) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "train_wer", "tf_prob"])
         for row in rows:
             writer.writerow([row.epoch, repr(row.mean_loss), repr(row.train_wer),
                              repr(row.tf_prob)])
-    os.replace(tmp, path)
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -239,23 +237,19 @@ def cmd_embed(cfg: RunConfig, args) -> int:
     D = hamming_matrix(codewords)
 
     ham_path = _out_path(cfg, "hamming.csv")
-    tmp = ham_path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with write_atomic(ham_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + lines)
         for label, row in zip(lines, D):
             writer.writerow([label] + [int(v) for v in row])
-    os.replace(tmp, ham_path)
 
     coords = classical_mds(D, dim=2)
     mds_path = _out_path(cfg, "mds.csv")
-    tmp = mds_path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with write_atomic(mds_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "x", "y"])
         for label, (x, y) in zip(lines, coords):
             writer.writerow([label, repr(float(x)), repr(float(y))])
-    os.replace(tmp, mds_path)
     print(f"hamming matrix written to {ham_path}")
     print(f"mds coordinates written to {mds_path}")
     return 0

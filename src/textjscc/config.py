@@ -81,9 +81,6 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
     def validate(self) -> None:
         v = self.values
         for key, value in v.items():

@@ -7,12 +7,12 @@ one sentence per line.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DomainError, EmptyCorpus, IoError
+from .fileio import write_atomic
 
 PAD, UNK, SOS, EOS = "<pad>", "<unk>", "<sos>", "<eos>"
 SPECIALS = (PAD, UNK, SOS, EOS)
@@ -44,10 +44,8 @@ class Vocabulary:
 
     def save(self, path: str) -> None:
         """One token per line; the line number is the id."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with write_atomic(path) as fh:
             fh.write("\n".join(self.id_to_token) + "\n")
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
@@ -93,11 +91,9 @@ class CharFrequencyTable:
     def save(self, path: str) -> None:
         """character<TAB>count lines, descending count then character."""
         rows = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with write_atomic(path) as fh:
             for ch, n in rows:
                 fh.write(f"{ch}\t{n}\n")
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "CharFrequencyTable":
@@ -204,8 +200,6 @@ def read_lines(path: str) -> list[str]:
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for line in lines:
             fh.write(line + "\n")
-    os.replace(tmp, path)

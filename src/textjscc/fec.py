@@ -235,8 +235,8 @@ def _shortest_block_lengths(q: float) -> list[int]:
 def transmit_baseline(
     sentence_bits: np.ndarray,
     plan: FecPlan,
-    cfg: ChannelConfig | None = None,
-    rng: np.random.Generator | None = None,
+    cfg: ChannelConfig,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Carry source bits across the channel under the plan's FEC mode.
 
@@ -252,11 +252,6 @@ def transmit_baseline(
         )
     if plan.mode == "idealized":
         return sentence_bits.copy()
-
-    if cfg is None:
-        cfg = ChannelConfig(p_d=plan.p_d, seed=0)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     k_total = sum(k for _, k in plan.blocks)
     padded = np.zeros(8 * k_total, dtype=np.uint8)

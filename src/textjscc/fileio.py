@@ -1,0 +1,27 @@
+"""The one way the toolkit writes a file."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+from .errors import IoError
+
+
+@contextmanager
+def write_atomic(path: str, binary: bool = False):
+    """Yield a file open for writing at path + ".tmp" and rename it over
+    path when the block completes, so readers never see a partial file.
+
+    The parent directory is created if missing.  Any OSError, from the
+    directory, the write or the rename, becomes IoError.  Text files are
+    UTF-8 and written without newline translation.
+    """
+    tmp = path + ".tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Mapping
 
 import numpy as np
 
 from .corpus import CharFrequencyTable
-from .errors import CorruptStream, DegenerateAlphabet, DomainError, IoError
+from .errors import CorruptStream, DegenerateAlphabet, DomainError
 
 CATCH_ALL = "#"
 
@@ -46,28 +45,6 @@ class HuffmanCodebook:
         """Mean code length in bits/char under the given frequencies."""
         total = sum(freqs.values())
         return sum(n * self.lengths[s] for s, n in freqs.items()) / total
-
-    def save(self, path: str) -> None:
-        """symbol<TAB>code_length lines; codes rebuild canonically on load."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for sym in sorted(self.lengths, key=lambda s: (self.lengths[s], s)):
-                fh.write(f"{sym}\t{self.lengths[sym]}\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "HuffmanCodebook":
-        lengths = {}
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh.read().splitlines():
-                    if not line:
-                        continue
-                    sym, n = line.split("\t")
-                    lengths[sym] = int(n)
-        except OSError as exc:
-            raise IoError(f"cannot read codebook {path}: {exc}") from exc
-        return cls(lengths)
 
 
 def build_huffman(freqs: CharFrequencyTable | Mapping[str, int]) -> HuffmanCodebook:

@@ -9,6 +9,11 @@ runs stacked LSTMs with a dense vocabulary projection.
 Gradients pass through the binarizer unchanged (straight-through: the
 derivative of its expectation, which is the identity), and through the
 channel only at surviving positions.
+
+Inference has one search, `JsccModel._beam_search`, over the columns of a
+(bits, S) observation matrix.  It has two entry points: `greedy_decode_batch`
+(the per-epoch train WER) is its width-1 case over a batch, and
+`beam_search_decode` (transmit and the sweeps) its one-sentence case.
 """
 
 from __future__ import annotations
@@ -366,38 +371,17 @@ class JsccModel:
     # ---------------- inference ----------------
 
     def greedy_decode_batch(self, obs: np.ndarray, max_len: int | None = None) -> list[list[int]]:
-        """Argmax decoding of a (bits, B) observation batch; EOS-terminated."""
+        """Argmax decoding of a (bits, B) observation batch; EOS-terminated.
+        The width-1 case of the beam search."""
         if max_len is None:
             max_len = self.config.max_decode_len
-        states, _ = self.decoder_init(obs)
-        b = states[0][0].shape[1]
-        input_ids = np.full(b, SOS_ID, dtype=np.int64)
-        rows = [[] for _ in range(b)]
-        done = np.zeros(b, dtype=bool)
-        for _ in range(max_len):
-            x = self.embed.value[input_ids].T
-            logits, states, _ = self._decoder_step(x, states)
-            input_ids = logits.argmax(axis=0)
-            for i in range(b):
-                if not done[i]:
-                    if input_ids[i] == EOS_ID:
-                        done[i] = True
-                    else:
-                        rows[i].append(int(input_ids[i]))
-            if done.all():
-                break
-        return rows
+        return self._beam_search(obs, 1, max_len)
 
     def beam_search_decode(self, obs: np.ndarray, beam_width: int | None = None,
                            max_len: int | None = None) -> list[int]:
         """Length-bounded beam search over one observation, (bits,) or
         (bits, 1); returns the finished hypothesis with the highest total log
-        probability (no length normalization), shorter first on a tie.
-
-        Each step runs one decoder step whose columns are the live
-        hypotheses.  Candidates rank by (-logp, token, prefix): equal totals
-        go to the smaller token, then to the lexicographically smaller prefix.
-        """
+        probability.  The one-sentence case of `_beam_search`."""
         if beam_width is None:
             beam_width = self.config.beam_width
         if max_len is None:
@@ -409,39 +393,67 @@ class JsccModel:
             obs = obs[:, None]
         if obs.ndim != 2 or obs.shape[1] != 1:
             raise ShapeError(f"beam search decodes one observation, got shape {obs.shape}")
+        return self._beam_search(obs, beam_width, max_len)[0]
+
+    def _beam_search(self, obs: np.ndarray, beam_width: int, max_len: int) -> list[list[int]]:
+        """Beam search over each column of a (bits, S) observation matrix.
+
+        Each step runs one decoder step whose columns are the live hypotheses
+        of every sentence still searching.  Each sentence ranks its own
+        candidates by (-logp, token, prefix): equal totals go to the smaller
+        token, then to the lexicographically smaller prefix.  A sentence stops,
+        and leaves the columns, when it has no live hypothesis or its best
+        finished total reaches its best live one.  Its result is the finished
+        hypothesis with the highest total log probability (no length
+        normalization), shorter first on a tie; hypotheses cut off at max_len
+        count as finished.
+        """
         vocab = self.config.vocab_size
         states, _ = self.decoder_init(obs)
-        prefixes: list[list[int]] = [[]]
-        logp = np.zeros(1)  # running totals stay float64 in f32 models too
-        last = [SOS_ID]
-        finished: list[tuple[list[int], float]] = []
+        n = states[0][0].shape[1]
+        prefixes: list[list[list[int]]] = [[[]] for _ in range(n)]
+        # running totals stay float64 in f32 models too
+        logps = [np.zeros(1) for _ in range(n)]
+        finished: list[list[tuple[list[int], float]]] = [[] for _ in range(n)]
+        searching = list(range(n))
+        last = [SOS_ID] * n
         for _ in range(max_len):
             logits, new_states, _ = self._decoder_step(self.embed.value[last].T, states)
             # one contiguous row per hypothesis
             z = log_softmax(np.ascontiguousarray(logits.T), axis=1)
-            scores = (logp[:, None] + z).ravel()  # index = hypothesis * vocab + token
-            kth = max(scores.size - beam_width, 0)  # the beam_width-th best score
-            pool = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
-            ranked = sorted(zip(scores[pool].tolist(), (pool % vocab).tolist(),
-                                (pool // vocab).tolist()),
-                            key=lambda c: (-c[0], c[1], prefixes[c[2]]))[:beam_width]
-            keep, alive, totals, last = [], [], [], []
-            for total, v, parent in ranked:
-                if v == EOS_ID:
-                    finished.append((prefixes[parent], total))
-                else:
-                    keep.append(parent)
-                    alive.append(prefixes[parent] + [v])
-                    totals.append(total)
-                    last.append(v)
-            prefixes, logp = alive, np.array(totals)
-            if not alive:
-                break
-            if finished and max(t for _, t in finished) >= totals[0]:
+            keep, last, still, row = [], [], [], 0
+            for s in searching:
+                prefix = prefixes[s]
+                # index = hypothesis * vocab + token
+                scores = (logps[s][:, None] + z[row:row + len(prefix)]).ravel()
+                kth = max(scores.size - beam_width, 0)  # the beam_width-th best score
+                pool = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+                ranked = sorted(zip(scores[pool].tolist(), (pool % vocab).tolist(),
+                                    (pool // vocab).tolist()),
+                                key=lambda c: (-c[0], c[1], prefix[c[2]]))[:beam_width]
+                cols, alive, totals = [], [], []
+                for total, v, parent in ranked:
+                    if v == EOS_ID:
+                        finished[s].append((prefix[parent], total))
+                    else:
+                        cols.append(row + parent)
+                        alive.append(prefix[parent] + [v])
+                        totals.append(total)
+                row += len(prefix)
+                prefixes[s], logps[s] = alive, np.array(totals)
+                if alive and not (finished[s] and max(t for _, t in finished[s]) >= totals[0]):
+                    still.append(s)
+                    keep += cols
+                    last += [p[-1] for p in alive]
+            searching = still
+            if not searching:
                 break
             states = [(h[:, keep], c[:, keep]) for h, c in new_states]
-        finished.extend(zip(prefixes, logp.tolist()))  # hypotheses cut off count as finished
-        return max(finished, key=lambda f: (f[1], -len(f[0])))[0]
+        results = []
+        for done, prefix, logp in zip(finished, prefixes, logps):
+            done.extend(zip(prefix, logp.tolist()))
+            results.append(max(done, key=lambda f: (f[1], -len(f[0])))[0])
+        return results
 
 
 def load_pretrained_embeddings(model: JsccModel, vocab: Vocabulary, path: str) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,8 +22,9 @@ import numpy as np
 from .budget import BudgetedEncoding, encode_batch_with_budget, encode_with_budget
 from .channel import ChannelConfig, erase
 from .corpus import TokenizedSentence
-from .errors import ConfigError, DecodeFailure, DomainError, IoError
+from .errors import ConfigError, DecodeFailure, DomainError
 from .fec import FecPlan, plan_budget, transmit_baseline
+from .fileio import write_atomic
 from .fixed5 import fixed5_decode, fixed5_encode
 from .huffman import HuffmanCodebook, huffman_decode, huffman_encode
 from .lzss import lz_decompress
@@ -213,25 +213,20 @@ COLUMNS = ("axis_value", "system", "mean_wer", "stderr", "trials", "seed")
 
 def emit_results(table: list[SweepResult], path: str, format: str = "csv") -> None:
     """Write the results table with a stable column order (atomic rename)."""
-    tmp = path + ".tmp"
-    try:
-        if format == "csv":
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(COLUMNS)
-                for row in table:
-                    writer.writerow([repr(row.axis_value), row.system, repr(row.mean_wer),
-                                     repr(row.stderr), row.trials, row.seed])
-        elif format == "json":
-            rows = [{"axis_value": r.axis_value, "system": r.system,
-                     "mean_wer": r.mean_wer, "stderr": r.stderr,
-                     "trials": r.trials, "seed": r.seed} for r in table]
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
-        else:
-            raise DomainError(f"unknown results format {format!r}")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write results to {path}: {exc}") from exc
+    if format == "csv":
+        with write_atomic(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(COLUMNS)
+            for row in table:
+                writer.writerow([repr(row.axis_value), row.system, repr(row.mean_wer),
+                                 repr(row.stderr), row.trials, row.seed])
+    elif format == "json":
+        rows = [{"axis_value": r.axis_value, "system": r.system,
+                 "mean_wer": r.mean_wer, "stderr": r.stderr,
+                 "trials": r.trials, "seed": r.seed} for r in table]
+        with write_atomic(path) as fh:
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
+    else:
+        raise DomainError(f"unknown results format {format!r}")
 

@@ -363,6 +363,45 @@ class TestVocabularyMismatch:
         assert "Traceback" not in err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is an IoError: exit 3 with one
+    error line and no traceback."""
+
+    COMMANDS = {
+        "prepare": lambda tmp: ["prepare"],
+        "train": lambda tmp: ["train", "--set", "train.epochs=1"],
+        "sweep": lambda tmp: ["sweep", "--set", "sweep.values=[100]",
+                              "--set", "sweep.systems=[fixed5]", "--set", "sweep.trials=1"],
+        "embed": lambda tmp: ["embed", "--sentences", str(tmp / "sents.txt")],
+    }
+
+    @staticmethod
+    def _assert_one_error_line(code, err):
+        assert code == 3, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_names_a_file(self, workdir, capsys, command):
+        tmp, out, base = workdir
+        out.write_text("not a directory\n")
+        code = run(self.COMMANDS[command](tmp) + SMALL_MODEL + base)
+        self._assert_one_error_line(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, blocked", [("train", "trainlog.csv"),
+                                                  ("sweep", "sweep_bits_per_sentence.csv"),
+                                                  ("embed", "hamming.csv")])
+    def test_output_file_is_a_directory(self, workdir, capsys, command, blocked):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        if command == "embed":
+            run(["train", "--set", "train.epochs=0"] + SMALL_MODEL + base)
+        (tmp / "sents.txt").write_text("the cat sat on the mat .\na dog ran across the street .\n")
+        (out / blocked).mkdir()
+        capsys.readouterr()
+        code = run(self.COMMANDS[command](tmp) + SMALL_MODEL + base)
+        self._assert_one_error_line(code, capsys.readouterr().err)
+
+
 class TestGradcheckCommand:
     def test_reports_and_passes(self, workdir, capsys, monkeypatch):
         from textjscc import cli as cli_mod

@@ -376,7 +376,8 @@ class TestTransmitBaseline:
     def test_over_budget_rejected(self):
         plan = plan_budget(100, 0.0, "idealized")
         with pytest.raises(DomainError):
-            transmit_baseline(np.zeros(101, dtype=np.uint8), plan, ChannelConfig(0.0))
+            transmit_baseline(np.zeros(101, dtype=np.uint8), plan, ChannelConfig(0.0),
+                              np.random.default_rng(0))
 
 
 class TestRsCodeMemo:

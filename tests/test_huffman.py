@@ -8,7 +8,6 @@ from textjscc.corpus import char_frequencies
 from textjscc.errors import CorruptStream, DegenerateAlphabet, DomainError
 from textjscc.huffman import (
     CATCH_ALL,
-    HuffmanCodebook,
     build_huffman,
     codebook_for_pipeline,
     entropy_bits,
@@ -121,16 +120,6 @@ class TestEncodeDecode:
     def test_round_trip_property(self, text):
         book = build_huffman({"a": 9, "b": 5, "c": 3, "d": 2, "e": 1, " ": 4})
         assert huffman_decode(huffman_encode(text, book), book) == text
-
-
-class TestCodebookFile:
-    def test_round_trip(self, tmp_path):
-        book = build_huffman({"a": 9, "b": 5, "c": 3, "d": 2})
-        path = str(tmp_path / "book.tsv")
-        book.save(path)
-        again = HuffmanCodebook.load(path)
-        assert again.lengths == book.lengths
-        assert again.codes == book.codes
 
 
 class TestPipelineCodebook:

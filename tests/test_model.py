@@ -440,6 +440,120 @@ class TestPanelDecode:
         assert len(calls) == 2 * stacks + 1
 
 
+def reference_greedy_decode(model, obs, max_len):
+    """The argmax loop greedy decoding ran before it became the width-1 beam
+    search, kept as the oracle: every column stays in the batch until all
+    have emitted EOS."""
+    states, _ = model.decoder_init(obs)
+    b = states[0][0].shape[1]
+    input_ids = np.full(b, SOS_ID, dtype=np.int64)
+    rows = [[] for _ in range(b)]
+    done = np.zeros(b, dtype=bool)
+    for _ in range(max_len):
+        x = model.embed.value[input_ids].T
+        logits, states, _ = model._decoder_step(x, states)
+        input_ids = logits.argmax(axis=0)
+        for i in range(b):
+            if not done[i]:
+                if input_ids[i] == EOS_ID:
+                    done[i] = True
+                else:
+                    rows[i].append(int(input_ids[i]))
+        if done.all():
+            break
+    return rows
+
+
+def random_observations(bits, count, seed, erased=0.2):
+    rng = np.random.default_rng(seed)
+    obs = rng.choice([-1, 1], size=(bits, count)).astype(np.int8)
+    obs[rng.random(obs.shape) < erased] = 0
+    return obs
+
+
+class TestBeamSearchCore:
+    """One search serves both entry points: `_beam_search` over S columns
+    returns what S one-column searches return, and greedy decoding is its
+    width-1 case."""
+
+    MAX_LEN = 8
+
+    def _model(self, eos_bias, precision="f32", seed=4):
+        model = JsccModel(tiny_config(vocab_size=9, precision=precision), seed=seed)
+        model.b_out.value[EOS_ID, 0] = eos_bias
+        return model
+
+    def _decode_alone(self, model, obs, width):
+        """(tokens, decoder steps) of a one-column search."""
+        steps = []
+        step = model._decoder_step
+        model._decoder_step = lambda x, states: (steps.append(1), step(x, states))[1]
+        try:
+            return model.beam_search_decode(obs, width, self.MAX_LEN), len(steps)
+        finally:
+            del model._decoder_step
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_batched_equals_per_column(self, width):
+        model = self._model(0.2)
+        obs = random_observations(model.config.bits, 32, seed=0)
+        alone = [self._decode_alone(model, obs[:, i], width) for i in range(32)]
+        steps = [n for _, n in alone]
+        # the batch mixes searches that stop at step 1 with longer ones
+        assert min(steps) == 1 and max(steps) >= 5
+        by_steps = sorted(range(32), key=lambda i: steps[i])
+        for cols in ([by_steps[-1]], [by_steps[0]], by_steps[::15], list(range(32))):
+            assert model._beam_search(obs[:, cols], width, self.MAX_LEN) == \
+                [alone[i][0] for i in cols], cols
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_searches_cut_off_at_max_len(self, width):
+        model = self._model(0.0)
+        obs = random_observations(model.config.bits, 32, seed=0)
+        alone = [self._decode_alone(model, obs[:, i], width) for i in range(32)]
+        assert any(len(t) == self.MAX_LEN for t, _ in alone)
+        assert model._beam_search(obs, width, self.MAX_LEN) == [t for t, _ in alone]
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_greedy_matches_the_argmax_loop(self, precision):
+        for seed, eos_bias in itertools.product(range(6), (-0.2, 0.0, 0.2, 1.0)):
+            model = self._model(eos_bias, precision, seed)
+            obs = random_observations(model.config.bits, 16, seed)
+            assert model.greedy_decode_batch(obs, self.MAX_LEN) == \
+                reference_greedy_decode(model, obs, self.MAX_LEN), (seed, eos_bias)
+
+    def test_greedy_matches_the_argmax_loop_on_tied_logits(self):
+        model = self._model(0.0)
+        model.W_out.value[...] = 0.0
+        model.b_out.value[...] = 0.0
+        obs = random_observations(model.config.bits, 5, seed=1)
+        assert model.greedy_decode_batch(obs) == \
+            reference_greedy_decode(model, obs, model.config.max_decode_len)
+
+    def test_entry_points_do_not_call_each_other(self, monkeypatch):
+        """The benchmark wraps both public methods and records every
+        beam_search_decode result; neither may run through the other."""
+        calls = []
+
+        def counting(name):
+            method = getattr(JsccModel, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+
+        model = self._model(0.2)
+        obs = random_observations(model.config.bits, 3, seed=2)
+        monkeypatch.setattr(JsccModel, "beam_search_decode", counting("beam_search_decode"))
+        model.greedy_decode_batch(obs)
+        assert calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(JsccModel, "greedy_decode_batch", counting("greedy_decode_batch"))
+        model.beam_search_decode(obs[:, 0], beam_width=1)
+        assert calls == []
+
+
 class TestStraightThroughInvariant:
     def test_training_backward_masks_erasures(self):
         """Gradient reaches only surviving codeword positions."""
