@@ -240,7 +240,7 @@ def transmit_baseline(
 ) -> np.ndarray:
     """Carry source bits across the channel under the plan's FEC mode.
 
-    Idealized mode returns the input unchanged (perfect compensation).
+    Idealized mode returns the source bits themselves (perfect compensation).
     Concrete mode RS-encodes byte symbols, erases bits, marks a symbol erased
     iff any of its bits was erased, then erasure-decodes; DecodeFailure
     propagates to the caller, which scores the sentence as fully errored.
@@ -251,7 +251,7 @@ def transmit_baseline(
             f"{sentence_bits.size} source bits exceed plan budget {plan.source_bits}"
         )
     if plan.mode == "idealized":
-        return sentence_bits.copy()
+        return sentence_bits
 
     k_total = sum(k for _, k in plan.blocks)
     padded = np.zeros(8 * k_total, dtype=np.uint8)

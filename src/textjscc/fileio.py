@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .errors import IoError
 
@@ -14,8 +14,9 @@ def write_atomic(path: str, binary: bool = False):
     path when the block completes, so readers never see a partial file.
 
     The parent directory is created if missing.  Any OSError, from the
-    directory, the write or the rename, becomes IoError.  Text files are
-    UTF-8 and written without newline translation.
+    directory, the write or the rename, becomes IoError, and no temporary
+    file outlives a failure.  Text files are UTF-8, without newline
+    translation.
     """
     tmp = path + ".tmp"
     try:
@@ -25,3 +26,6 @@ def write_atomic(path: str, binary: bool = False):
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):  # already renamed away on success
+            os.remove(tmp)

@@ -1,9 +1,10 @@
-"""Fixed 5-bit character code over a 32-symbol alphabet.
+"""Fixed 5-bit character code over a 32-symbol alphabet: a `huffman.CharCode`.
 
 Alphabet: 'a'-'z' (codes 0-25), space (26), '.' (27), ',' (28), apostrophe
-(29), '?' (30) and the catch-all '#' (31).  Framing always survives channel
-corruption: any 5-bit group is a valid symbol, so a damaged symbol misdecodes
-without desynchronizing the rest of the stream.
+(29), '?' (30) and the catch-all '#' (31).  Each character becomes one
+symbol (itself, else its lowercase, else '#'), so n characters take 5n bits.
+Framing survives corruption: any 5-bit group is a valid symbol, so a damaged
+symbol misdecodes without desynchronizing the rest of the stream.
 """
 
 from __future__ import annotations
@@ -11,38 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FramingError
+from .huffman import CharCode
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz .,'?#"
-CATCH_ALL = "#"
-_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
+_CODE = CharCode({ch: (i, 5) for i, ch in enumerate(ALPHABET)})
 
 assert len(ALPHABET) == 32
 
 
-def normalize(text: str) -> str:
-    """Lowercase and map symbols outside the alphabet to the catch-all."""
-    return "".join(ch if ch in _CODE else CATCH_ALL for ch in text.lower())
-
-
 def fixed5_encode(text: str) -> np.ndarray:
-    """5 bits per mapped character, MSB-first."""
-    mapped = normalize(text)
-    bits = np.zeros(5 * len(mapped), dtype=np.uint8)
-    for i, ch in enumerate(mapped):
-        code = _CODE[ch]
-        for k in range(5):
-            bits[5 * i + k] = (code >> (4 - k)) & 1
-    return bits
+    return _CODE.encode(text)
 
 
 def fixed5_decode(bits: np.ndarray) -> str:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 5 != 0:
-        raise FramingError(f"{bits.size} bits is not a multiple of 5")
-    out = []
-    for i in range(0, bits.size, 5):
-        code = 0
-        for k in range(5):
-            code = (code << 1) | int(bits[i + k])
-        out.append(ALPHABET[code])
-    return "".join(out)
+    if np.size(bits) % 5 != 0:
+        raise FramingError(f"{np.size(bits)} bits is not a multiple of 5")
+    return _CODE.decode(bits)

@@ -1,9 +1,9 @@
-"""Character Huffman coding with canonical code assignment.
-
-The codebook is built from training-corpus character frequencies and is
-shared transmitter/receiver state; its bits are not charged to any sentence.
-Characters missing from the codebook are mapped to the catch-all '#' before
-encoding.
+"""Character codes: one table-driven encoder and decoder (`CharCode`) for
+canonical Huffman and the fixed 5-bit code.  Each input character becomes
+exactly one symbol: itself if the code has it, else its lowercase, else the
+catch-all '#'.  The Huffman codebook is built from training-corpus character
+frequencies and is shared transmitter/receiver state; its bits are not
+charged to any sentence.
 """
 
 from __future__ import annotations
@@ -20,26 +20,61 @@ from .errors import CorruptStream, DegenerateAlphabet, DomainError
 CATCH_ALL = "#"
 
 
-class HuffmanCodebook:
+class CharCode:
+    """Prefix code given as symbol -> (code, length), emitted MSB first."""
+
+    def __init__(self, codes: Mapping[str, tuple[int, int]]):
+        # codewords as one 0/1 byte per bit, and keyed for decoding by the
+        # (length, code) pair packed as 1 << length | code
+        self._bits = {sym: bytes((code >> (length - 1 - k)) & 1 for k in range(length))
+                      for sym, (code, length) in codes.items()}
+        self._decode = {1 << length | code: sym for sym, (code, length) in codes.items()}
+        self._overrun = 2 << max(length for _, length in codes.values())
+
+    def _fallback(self, ch: str) -> bytes:
+        bits = self._bits.get(ch.lower(), self._bits.get(CATCH_ALL))
+        if bits is None:
+            raise DomainError("character outside codebook and no catch-all present")
+        return bits
+
+    def encode(self, text: str) -> np.ndarray:
+        """One symbol per character, as a 0/1 uint8 array."""
+        table = self._bits
+        joined = b"".join([table[ch] if ch in table else self._fallback(ch) for ch in text])
+        return np.frombuffer(joined, dtype=np.uint8)
+
+    def decode(self, bits: np.ndarray) -> str:
+        """One symbol per codeword; CorruptStream on any bits left over."""
+        out = []
+        node = 1
+        for bit in np.asarray(bits, dtype=np.uint8).tolist():
+            node = node << 1 | bit
+            sym = self._decode.get(node)
+            if sym is not None:
+                out.append(sym)
+                node = 1
+            elif node >= self._overrun:
+                raise CorruptStream("bit pattern matches no codeword")
+        if node != 1:
+            raise CorruptStream(f"{node.bit_length() - 1} dangling bits at end of stream")
+        return "".join(out)
+
+
+class HuffmanCodebook(CharCode):
     """Canonical prefix code: symbols carry code lengths, codes are implied."""
 
     def __init__(self, lengths: Mapping[str, int]):
         self.lengths = dict(lengths)
-        self.codes: dict[str, tuple[int, int]] = {}
-        self._decode: dict[tuple[int, int], str] = {}
+        codes = {}
         code = 0
         prev_len = 0
         for sym in sorted(self.lengths, key=lambda s: (self.lengths[s], s)):
             length = self.lengths[sym]
             code <<= length - prev_len
-            self.codes[sym] = (code, length)
-            self._decode[(length, code)] = sym
+            codes[sym] = (code, length)
             code += 1
             prev_len = length
-        self.max_length = max(self.lengths.values())
-
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -n for n in self.lengths.values())
+        super().__init__(codes)
 
     def expected_length(self, freqs: Mapping[str, int]) -> float:
         """Mean code length in bits/char under the given frequencies."""
@@ -75,35 +110,11 @@ def build_huffman(freqs: CharFrequencyTable | Mapping[str, int]) -> HuffmanCodeb
 
 
 def huffman_encode(text: str, book: HuffmanCodebook) -> np.ndarray:
-    """Encode lowercased text; unknown characters map to the catch-all first."""
-    bits: list[int] = []
-    for ch in text.lower():
-        if ch not in book.codes:
-            ch = CATCH_ALL
-            if ch not in book.codes:
-                raise DomainError("character outside codebook and no catch-all present")
-        code, length = book.codes[ch]
-        bits.extend((code >> (length - 1 - k)) & 1 for k in range(length))
-    return np.array(bits, dtype=np.uint8)
+    return book.encode(text)
 
 
 def huffman_decode(bits: np.ndarray, book: HuffmanCodebook) -> str:
-    out = []
-    code = 0
-    length = 0
-    for bit in np.asarray(bits, dtype=np.uint8).tolist():
-        code = (code << 1) | bit
-        length += 1
-        sym = book._decode.get((length, code))
-        if sym is not None:
-            out.append(sym)
-            code = 0
-            length = 0
-        elif length > book.max_length:
-            raise CorruptStream("bit pattern matches no codeword")
-    if length != 0:
-        raise CorruptStream(f"{length} dangling bits at end of stream")
-    return "".join(out)
+    return book.decode(bits)
 
 
 def entropy_bits(freqs: CharFrequencyTable | Mapping[str, int]) -> float:

@@ -231,15 +231,14 @@ def lstm_cell_backward(p: LstmCellParams, cache, dh: np.ndarray, dc_in: np.ndarr
     return dx, dh_prev, dc_prev
 
 
-def lstm_run(p: LstmCellParams, xs: list[np.ndarray], h0: np.ndarray | None = None,
-             c0: np.ndarray | None = None):
-    """Run the cell over a sequence; returns (hs, cs, caches)."""
+def lstm_run(p: LstmCellParams, xs: list[np.ndarray]):
+    """Run the cell over a sequence from zero state; returns (hs, cs, caches)."""
     if not xs:
         raise EmptySequence("lstm_run needs a nonempty sequence")
     batch = xs[0].shape[1]
     dtype = p.Wx.value.dtype
-    h = np.zeros((p.hidden_dim, batch), dtype=dtype) if h0 is None else h0
-    c = np.zeros((p.hidden_dim, batch), dtype=dtype) if c0 is None else c0
+    h = np.zeros((p.hidden_dim, batch), dtype=dtype)
+    c = np.zeros((p.hidden_dim, batch), dtype=dtype)
     hs, cs, caches = [], [], []
     for x in xs:
         h, c, cache = lstm_cell_forward(p, x, h, c)
@@ -253,7 +252,7 @@ def lstm_run_backward(p: LstmCellParams, caches, dhs, dcs):
     """BPTT over a cached run.
 
     dhs[t] / dcs[t] are the external gradients into h_t / c_t (zero arrays
-    where nothing flows in).  Returns (dxs, dh0, dc0).
+    where nothing flows in).  Returns the per-step input gradients dxs.
     """
     dh_next = np.zeros_like(dhs[-1])
     dc_next = np.zeros_like(dcs[-1])
@@ -262,7 +261,7 @@ def lstm_run_backward(p: LstmCellParams, caches, dhs, dcs):
         dx, dh_next, dc_next = lstm_cell_backward(
             p, caches[t], dhs[t] + dh_next, dcs[t] + dc_next)
         dxs[t] = dx
-    return dxs, dh_next, dc_next
+    return dxs
 
 
 def blstm_layer_forward(fwd: LstmCellParams, bwd: LstmCellParams, xs: list[np.ndarray]):
@@ -285,8 +284,8 @@ def blstm_layer_backward(fwd: LstmCellParams, bwd: LstmCellParams, cache, dhs, d
     dcs_f = [d[:h] for d in dcs]
     dhs_b = [d[h:] for d in dhs][::-1]
     dcs_b = [d[h:] for d in dcs][::-1]
-    dxs_f, _, _ = lstm_run_backward(fwd, caches_f, dhs_f, dcs_f)
-    dxs_br, _, _ = lstm_run_backward(bwd, caches_b, dhs_b, dcs_b)
+    dxs_f = lstm_run_backward(fwd, caches_f, dhs_f, dcs_f)
+    dxs_br = lstm_run_backward(bwd, caches_b, dhs_b, dcs_b)
     dxs_b = dxs_br[::-1]
     return [df + db for df, db in zip(dxs_f, dxs_b)]
 

@@ -85,23 +85,19 @@ class Trainer:
         return loss
 
     def estimate_train_wer(self, sentences: list[TokenizedSentence], plan: BatchPlan,
-                           rng: np.random.Generator, sample: int | None = None) -> float:
-        """Greedy-decode a deterministic sample through the channel."""
-        budget = self.settings.wer_sample if sample is None else sample
-        wers: list[float] = []
-        cfg = ChannelConfig(p_d=self.settings.erasure_prob, seed=0)
-        for batch in plan.batches:
-            if budget <= 0:
-                break
-            take = batch[:budget]
-            budget -= len(take)
-            ids = np.array([sentences[i].ids for i in take], dtype=np.int64)
-            bits = self.model.encode_batch(ids, "deterministic")
-            obs = erase(bits, cfg, rng)
-            decoded = self.model.greedy_decode_batch(obs)
-            for row, i in zip(decoded, take):
-                wers.append(wer(sentences[i].ids, row))
-        return sum(wers) / len(wers) if wers else float("nan")
+                           rng: np.random.Generator) -> float:
+        """Greedy-decode a deterministic sample through the channel.  The
+        sample is spaced evenly over the plan's sentence order, so it spans
+        every sentence length, not only the first batches' length."""
+        order = [i for batch in plan.batches for i in batch]
+        n = min(self.settings.wer_sample, len(order))
+        if n <= 0:
+            return float("nan")
+        sample = [sentences[order[k * len(order) // n]] for k in range(n)]
+        bits = self.model.encode_sentences(sample)
+        obs = erase(bits.T, ChannelConfig(p_d=self.settings.erasure_prob, seed=0), rng)
+        decoded = self.model.greedy_decode_batch(obs)
+        return sum(wer(s.ids, row) for s, row in zip(sample, decoded)) / n
 
     def run(self, sentences: list[TokenizedSentence], plan: BatchPlan, epochs: int,
             on_epoch=None) -> list[EpochLog]:

@@ -1,19 +1,25 @@
 import itertools
+import string
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from textjscc import fixed5, huffman
 from textjscc.corpus import char_frequencies
-from textjscc.errors import CorruptStream, DegenerateAlphabet, DomainError
+from textjscc.errors import CorruptStream, DegenerateAlphabet, DomainError, FramingError
+from textjscc.fixed5 import ALPHABET, fixed5_decode, fixed5_encode
 from textjscc.huffman import (
     CATCH_ALL,
+    HuffmanCodebook,
     build_huffman,
     codebook_for_pipeline,
     entropy_bits,
     huffman_decode,
     huffman_encode,
 )
+from toy_corpus import make_eval_corpus, make_toy_corpus
 
 
 def optimal_expected_length(freqs: dict) -> float:
@@ -61,7 +67,7 @@ class TestBuildHuffman:
 
     def test_kraft_equality(self):
         book = build_huffman({"a": 7, "b": 3, "c": 2, "d": 1, "e": 1})
-        assert book.kraft_sum() == pytest.approx(1.0)
+        assert sum(2.0 ** -n for n in book.lengths.values()) == pytest.approx(1.0)
 
     def test_entropy_sandwich(self):
         freqs = {"a": 50, "b": 20, "c": 15, "d": 10, "e": 5}
@@ -137,3 +143,146 @@ class TestPipelineCodebook:
         book = codebook_for_pipeline(char_frequencies(lines))
         for line in lines:
             assert huffman_encode(line, book).size <= fixed5_encode(line).size
+
+
+# Frozen copies of the per-character codecs as they were before Huffman and
+# fixed5 shared one table-driven code: the references for identical output.
+
+def reference_codes(lengths):
+    codes = {}
+    code = 0
+    prev_len = 0
+    for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
+        length = lengths[sym]
+        code <<= length - prev_len
+        codes[sym] = (code, length)
+        code += 1
+        prev_len = length
+    return codes
+
+
+def reference_huffman_encode(text, lengths):
+    codes = reference_codes(lengths)
+    bits = []
+    for ch in text.lower():
+        if ch not in codes:
+            ch = CATCH_ALL
+            if ch not in codes:
+                raise DomainError("character outside codebook and no catch-all present")
+        code, length = codes[ch]
+        bits.extend((code >> (length - 1 - k)) & 1 for k in range(length))
+    return np.array(bits, dtype=np.uint8)
+
+
+def reference_huffman_decode(bits, lengths):
+    decode = {(n, c): s for s, (c, n) in reference_codes(lengths).items()}
+    max_length = max(lengths.values())
+    out = []
+    code = 0
+    length = 0
+    for bit in np.asarray(bits, dtype=np.uint8).tolist():
+        code = (code << 1) | bit
+        length += 1
+        sym = decode.get((length, code))
+        if sym is not None:
+            out.append(sym)
+            code = 0
+            length = 0
+        elif length > max_length:
+            raise CorruptStream("bit pattern matches no codeword")
+    if length != 0:
+        raise CorruptStream(f"{length} dangling bits at end of stream")
+    return "".join(out)
+
+
+def reference_fixed5_encode(text):
+    index = {ch: i for i, ch in enumerate(ALPHABET)}
+    mapped = "".join(ch if ch in index else CATCH_ALL for ch in text.lower())
+    bits = np.zeros(5 * len(mapped), dtype=np.uint8)
+    for i, ch in enumerate(mapped):
+        code = index[ch]
+        for k in range(5):
+            bits[5 * i + k] = (code >> (4 - k)) & 1
+    return bits
+
+
+def reference_fixed5_decode(bits):
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.size % 5 != 0:
+        raise FramingError(f"{bits.size} bits is not a multiple of 5")
+    out = []
+    for i in range(0, bits.size, 5):
+        code = 0
+        for k in range(5):
+            code = (code << 1) | int(bits[i + k])
+        out.append(ALPHABET[code])
+    return "".join(out)
+
+
+# The old rule lowercased the whole text, which can change its length ("İ"
+# becomes two characters); the references agree wherever it cannot.
+ONE_CHAR_LOWER = st.characters(min_codepoint=128).filter(
+    lambda c: len(c.lower()) == 1)
+MIXED_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits + string.punctuation + " "),
+    ONE_CHAR_LOWER), max_size=60)
+TOY_SENTENCES = make_toy_corpus(64) + make_eval_corpus()
+# lowercase non-ASCII symbols in the codebook, so that some upper-case input
+# maps to them and the rest to the catch-all
+BOOK = codebook_for_pipeline(char_frequencies(TOY_SENTENCES + ["éàßøλж 0123 ,.?!"]))
+
+
+class TestSharedCharCode:
+    def _assert_same(self, text):
+        bits = huffman_encode(text, BOOK)
+        assert np.array_equal(bits, reference_huffman_encode(text, BOOK.lengths))
+        assert huffman_decode(bits, BOOK) == reference_huffman_decode(bits, BOOK.lengths)
+        bits = fixed5_encode(text)
+        assert np.array_equal(bits, reference_fixed5_encode(text))
+        assert fixed5_decode(bits) == reference_fixed5_decode(bits)
+
+    @given(MIXED_TEXT)
+    def test_matches_frozen_reference(self, text):
+        self._assert_same(text)
+
+    def test_matches_frozen_reference_on_toy_corpus(self):
+        for sentence in TOY_SENTENCES:
+            self._assert_same(sentence)
+            self._assert_same(sentence.upper())
+
+    @given(st.lists(st.integers(0, 1), max_size=80))
+    def test_decode_matches_frozen_reference_on_any_bits(self, raw):
+        bits = np.array(raw, dtype=np.uint8)
+        sparse = HuffmanCodebook({"a": 1, "b": 3})  # no codeword starts 11
+        pairs = [(lambda b, book=book: huffman_decode(b, book),
+                  lambda b, book=book: reference_huffman_decode(b, book.lengths))
+                 for book in (BOOK, sparse)]
+        for ours, ref in pairs + [(fixed5_decode, reference_fixed5_decode)]:
+            try:
+                expected = ref(bits)
+            except (CorruptStream, FramingError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    ours(bits)
+                assert str(got.value) == str(exc)
+            else:
+                assert ours(bits) == expected
+
+    def test_codecs_never_call_each_other(self, monkeypatch):
+        """Each public codec function is one entry point: patched wherever a
+        textjscc module holds it, a call of one counts no call of another."""
+        calls = []
+        for module, name in ((huffman, "huffman_encode"), (huffman, "huffman_decode"),
+                             (fixed5, "fixed5_encode"), (fixed5, "fixed5_decode")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+            for mod in [m for n, m in sys.modules.items() if n.startswith("textjscc")]:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting)
+        huffman.huffman_decode(huffman.huffman_encode("the cat", BOOK), BOOK)
+        assert calls == ["huffman_encode", "huffman_decode"]
+        calls.clear()
+        fixed5.fixed5_decode(fixed5.fixed5_encode("the cat"))
+        assert calls == ["fixed5_encode", "fixed5_decode"]

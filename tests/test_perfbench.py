@@ -35,7 +35,7 @@ print(json.dumps(out))
 BASELINE_LAYERS = ("huffman.huffman_encode", "fixed5.fixed5_encode", "lzss.lz_compress",
                    "budget.encode_batch_with_budget", "fec.plan_budget",
                    "fec.transmit_baseline")
-# idealized FEC copies the bits; only concrete FEC runs the RS kernels, and a
+# idealized FEC passes the bits through; only concrete FEC runs the RS kernels, and a
 # transmit_baseline that stopped calling them would zero these layers
 CONCRETE_LAYERS = ("fec.rs_encode", "fec.rs_decode_erasures")
 

@@ -76,6 +76,30 @@ class TestTrainer:
             assert np.array_equal(a, b)
 
 
+class TestTrainWerSample:
+    def test_sample_spans_every_length(self):
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(30)]
+        sents = [" ".join(rng.choice(words, size=length))
+                 for length in (10, 20, 30) for _ in range(128)]
+        vocab = build_vocabulary(sents, 64)
+        toks = [tokenize(s, vocab) for s in sents]
+        plan = batch_by_length(toks, 128)
+        model = small_model(len(vocab))
+        sampled = []
+        encode = model.encode_sentences
+
+        def recording(sample):
+            sampled.extend(sample)
+            return encode(sample)
+        model.encode_sentences = recording
+        trainer = Trainer(model, TrainSettings(wer_sample=32))
+        train_wer = trainer.estimate_train_wer(toks, plan, np.random.default_rng(0))
+        assert len(sampled) == 32
+        assert {len(s.ids) for s in sampled} == {10, 20, 30}
+        assert np.isfinite(train_wer)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         vocab, toks = toy_corpus()
