@@ -111,10 +111,12 @@ def _load_prepared(cfg: RunConfig):
 def _write_trainlog(path: str, rows: list) -> None:
     with write_atomic(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "train_wer", "tf_prob"])
+        writer.writerow(["epoch", "loss", "train_wer", "tf_prob", "grad_norm", "clip_rate",
+                         "sentences_per_s"])
         for row in rows:
             writer.writerow([row.epoch, repr(row.mean_loss), repr(row.train_wer),
-                             repr(row.tf_prob)])
+                             repr(row.tf_prob), repr(row.grad_norm), repr(row.clip_rate),
+                             repr(row.sentences_per_s)])
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -145,8 +147,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
         _write_trainlog(log_path, rows)
         if entry.epoch % every == 0:
             save_checkpoint(ckpt_path, model, trainer.adam, {"epoch": entry.epoch})
-        log.info("epoch %d loss %.4f wer %.3f tf %.2f",
-                 entry.epoch, entry.mean_loss, entry.train_wer, entry.tf_prob)
+        log.info("epoch %d loss %.4f wer %.3f tf %.2f grad norm %.3g clip rate %.2f "
+                 "%.1f sentences/s", entry.epoch, entry.mean_loss, entry.train_wer,
+                 entry.tf_prob, entry.grad_norm, entry.clip_rate, entry.sentences_per_s)
 
     trainer.run(sentences, plan, cfg["train.epochs"], on_epoch=on_epoch)
     save_checkpoint(ckpt_path, model, trainer.adam, {"epoch": trainer.epoch})

@@ -28,6 +28,8 @@ from .errors import DomainError, IoError, ShapeError
 from .nn import (
     LstmCellParams,
     Parameter,
+    add_product,
+    add_row_sums,
     blstm_layer_backward,
     blstm_layer_forward,
     dense_backward,
@@ -206,7 +208,7 @@ class JsccModel:
                     dhs[t] += d_from_above[t]
             d_from_above = blstm_layer_backward(fwd, bwd, stack_caches[j], dhs, dcs)
         for t in range(T):
-            np.add.at(self.embed.grad, ids_full[:, t], d_from_above[t].T)
+            self.embed.accumulate(np.add.at, ids_full[:, t], d_from_above[t].T)
 
     def encode_batch(self, ids_batch, mode: str = "deterministic",
                      rng: np.random.Generator | None = None):
@@ -355,8 +357,8 @@ class JsccModel:
         for t in reversed(range(len(step_caches))):
             dlogits = dlogits_steps[t]
             caches = step_caches[t]
-            self.W_out.grad += dlogits @ tops[t].T
-            self.b_out.grad += dlogits.sum(axis=1, keepdims=True)
+            self.W_out.accumulate(add_product, dlogits, tops[t])
+            self.b_out.accumulate(add_row_sums, dlogits)
             d_from_above = self.W_out.value.T @ dlogits
             for j in reversed(range(n_stacks)):
                 dh = d_from_above if rec_h[j] is None else d_from_above + rec_h[j]
@@ -364,7 +366,7 @@ class JsccModel:
                 dx, dh_prev, dc_prev = lstm_cell_backward(self.decoder[j], caches[j], dh, dc)
                 rec_h[j], rec_c[j] = dh_prev, dc_prev
                 d_from_above = dx
-            np.add.at(self.embed.grad, inputs_used[t], d_from_above.T)
+            self.embed.accumulate(np.add.at, inputs_used[t], d_from_above.T)
         d_states = [(rec_h[j], rec_c[j]) for j in range(n_stacks)]
         return self._decoder_init_backward(init_caches, d_states)
 

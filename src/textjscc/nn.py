@@ -24,20 +24,61 @@ blocked layout only when M*N*K <= 10**6 (its small-matrix path); above that
 cutoff each call repacks the whole of W, which at 4 columns costs several
 times the arithmetic.  `matmul` therefore runs such a product as one batched
 product over a (m // r, r, k) view of W whose row panels each fall under the
-cutoff.  The panels sum in another order than the packed kernel, so the
-result agrees with `W @ x` only within round-off.  Products with one column
-(BLAS runs them as matrix-vector products, which do not pack) or with more
-than NARROW_COLUMNS columns (which amortize the packing) stay plain `W @ x`,
-so training batches never take the panel path.
+cutoff; when no divisor of m fits, the rows left over after the last full
+panel form one more product.  The panels sum in another order than the
+packed kernel, so the result agrees with `W @ x` only within round-off.
+Products with one column (BLAS runs them as matrix-vector products, which do
+not pack) or with more than NARROW_COLUMNS columns (which amortize the
+packing) stay plain `W @ x`, so training batches never take the panel path.
+
+Gradient accumulation.  A backward pass adds every parameter gradient
+through `Parameter.accumulate(fn, *arrays)`.  A parameter with at least
+INLINE_GRAD_ELEMENTS entries queues `fn(buffer, *arrays)` for one worker
+thread, which runs the jobs in submission order; a smaller one runs it at
+once on the caller's thread.  Routing depends only on a parameter's size, so
+each buffer's sums happen in program order and equal the inline sums bit for
+bit.  Meanwhile the caller goes on down the input-gradient chain; BLAS
+releases the GIL, so the worker's weight products overlap the caller's.
+Reads wait: the `grad` getter and setter and `zero_grad` first wait for the
+queue to empty, and raise the first exception a job raised.  `accumulate`
+waits while GRAD_QUEUE_DEPTH jobs are pending.  A job runs in the caller's
+context (so under its `np.errstate`) and touches only its buffer and its
+arrays, which nothing may write after the call: never a parameter's value
+or a Parameter method.  The worker starts with the first queued job, so
+inference never starts it.  The queue belongs to the process, so one thread
+at a time may run backward passes and read gradients.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import EmptySequence, ShapeError
+
+
+INLINE_GRAD_ELEMENTS = 2**16  # smaller parameters accumulate on the caller's thread
+GRAD_QUEUE_DEPTH = 8
+
+_worker: ThreadPoolExecutor | None = None
+_pending: collections.deque = collections.deque()
+
+
+def wait_for_gradients(keep: int = 0) -> None:
+    """Wait until at most `keep` gradient jobs are pending.  If a job raised,
+    wait for all of them and raise the first exception."""
+    error = None
+    while len(_pending) > keep:
+        failed = _pending.popleft().exception()
+        if failed is not None:
+            error = error or failed
+            keep = 0
+    if error is not None:
+        raise error
 
 
 class Parameter:
@@ -52,27 +93,56 @@ class Parameter:
         self._grad: np.ndarray | None = None
         self.name = name
 
-    @property
-    def grad(self) -> np.ndarray:
+    def _buffer(self) -> np.ndarray:
         if self._grad is None:
             # np.zeros callocs: a large array's pages are zeroed at first write
             self._grad = np.zeros(self.value.shape, self.value.dtype)
         return self._grad
 
+    @property
+    def grad(self) -> np.ndarray:
+        wait_for_gradients()
+        return self._buffer()
+
     @grad.setter
     def grad(self, value: np.ndarray) -> None:
+        wait_for_gradients()
         self._grad = value
+
+    def accumulate(self, fn, *arrays: np.ndarray) -> None:
+        """Run fn(gradient buffer, *arrays): now for a small parameter, else
+        on the gradient worker (see the module docstring)."""
+        if self.value.size < INLINE_GRAD_ELEMENTS:
+            fn(self._buffer(), *arrays)
+            return
+        global _worker
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="textjscc-grad")
+        wait_for_gradients(GRAD_QUEUE_DEPTH - 1)
+        _pending.append(_worker.submit(
+            contextvars.copy_context().run, fn, self._buffer(), *arrays))
 
     @property
     def shape(self):
         return self.value.shape
 
     def zero_grad(self) -> None:
+        wait_for_gradients()
         if self._grad is not None:
             self._grad[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+def add_product(grad: np.ndarray, dz: np.ndarray, x: np.ndarray) -> None:
+    """grad += dz x^T, the weight gradient of z = W x."""
+    grad += dz @ x.T
+
+
+def add_row_sums(grad: np.ndarray, dz: np.ndarray) -> None:
+    """grad += the sum of dz over its columns, the gradient of a bias column."""
+    grad += dz.sum(axis=1, keepdims=True)
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator, dtype) -> np.ndarray:
@@ -95,14 +165,17 @@ NARROW_COLUMNS = 16
 @functools.lru_cache(maxsize=256)
 def _panel_rows(m: int, n: int, k: int) -> int:
     """Rows per panel for an (m, k) @ (k, n) product: the largest divisor r
-    of m, at least MIN_PANEL_ROWS, with r*n*k <= SMALL_GEMM_MNK; m when the
-    product should stay whole."""
+    of m, at least MIN_PANEL_ROWS, with r*n*k <= SMALL_GEMM_MNK, else the
+    largest such r, which leaves a ragged last panel; m when the product
+    should stay whole."""
     if n == 1 or n > NARROW_COLUMNS or m * n * k <= SMALL_GEMM_MNK:
         return m
-    for r in range(min(SMALL_GEMM_MNK // (n * k), m), MIN_PANEL_ROWS - 1, -1):
+    widest = min(SMALL_GEMM_MNK // (n * k), m)
+    for r in range(widest, MIN_PANEL_ROWS - 1, -1):
         if m % r == 0:
             return r
-    return m
+    # no divisor fits: full panels of `widest` rows plus one ragged product
+    return widest if widest >= MIN_PANEL_ROWS else m
 
 
 def matmul(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -113,7 +186,12 @@ def matmul(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     r = _panel_rows(m, n, k)
     if r == m:
         return W @ x
-    return np.matmul(W.reshape(m // r, r, k), x).reshape(m, n)
+    full = m - m % r
+    out = np.empty((m, n), np.result_type(W, x))
+    np.matmul(W[:full].reshape(-1, r, k), x, out=out[:full].reshape(-1, r, n))
+    if full < m:
+        np.matmul(W[full:], x, out=out[full:])
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -138,13 +216,13 @@ def dense_forward(W: Parameter, a: Parameter, x: np.ndarray, activation: str = "
 
 
 def dense_backward(cache, dy: np.ndarray) -> np.ndarray:
-    """Accumulate W.grad and a.grad; return the gradient wrt the input."""
+    """Accumulate the gradients of W and a; return the gradient wrt the input."""
     W, a, x, y, activation = cache
     if dy.shape != y.shape:
         raise ShapeError(f"dense backward: upstream {dy.shape}, output {y.shape}")
     dz = dy * (1.0 - y * y) if activation == "tanh" else dy
-    W.grad += dz @ x.T
-    a.grad += dz.sum(axis=1, keepdims=True)
+    W.accumulate(add_product, dz, x)
+    a.accumulate(add_row_sums, dz)
     return W.value.T @ dz
 
 
@@ -218,17 +296,23 @@ def lstm_cell_backward(p: LstmCellParams, cache, dh: np.ndarray, dc_in: np.ndarr
                          dzo])
     dzi, dzf = dz[:n], dz[n:2 * n]
 
-    p.Wx.grad += dz @ x.T
-    p.Wh.grad += dz @ h_prev.T
-    p.b.grad += dz.sum(axis=1, keepdims=True)
-    p.p.grad[:n] += (dzi * c_prev).sum(axis=1, keepdims=True)
-    p.p.grad[n:2 * n] += (dzf * c_prev).sum(axis=1, keepdims=True)
-    p.p.grad[2 * n:] += (dzo * c).sum(axis=1, keepdims=True)
+    p.Wx.accumulate(add_product, dz, x)
+    p.Wh.accumulate(add_product, dz, h_prev)
+    p.b.accumulate(add_row_sums, dz)
+    p.p.accumulate(_add_peephole_grads, dz, c_prev, c)
 
     dx = p.Wx.value.T @ dz
     dh_prev = p.Wh.value.T @ dz
     dc_prev = dc * f + dzi * peep[:n] + dzf * peep[n:2 * n]
     return dx, dh_prev, dc_prev
+
+
+def _add_peephole_grads(grad: np.ndarray, dz: np.ndarray, c_prev: np.ndarray,
+                        c: np.ndarray) -> None:
+    n = len(grad) // 3
+    grad[:n] += (dz[:n] * c_prev).sum(axis=1, keepdims=True)
+    grad[n:2 * n] += (dz[n:2 * n] * c_prev).sum(axis=1, keepdims=True)
+    grad[2 * n:] += (dz[3 * n:] * c).sum(axis=1, keepdims=True)
 
 
 def lstm_run(p: LstmCellParams, xs: list[np.ndarray]):

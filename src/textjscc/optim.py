@@ -12,7 +12,8 @@ def global_grad_norm(params: list[Parameter]) -> float:
 
 
 def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their joint norm is at most max_norm."""
+    """Scale all gradients so their joint norm is at most max_norm (none
+    when max_norm is 0); returns the norm before scaling."""
     norm = global_grad_norm(params)
     if norm > max_norm > 0.0:
         scale = max_norm / norm
@@ -34,12 +35,12 @@ class AdamState:
         self.v = [np.zeros(p.shape, p.value.dtype) for p in self.params]
 
 
-def adam_step(params: list[Parameter], state: AdamState) -> None:
-    """Standard Adam update with bias correction; gradients are then zeroed."""
+def adam_step(params: list[Parameter], state: AdamState) -> float:
+    """Standard Adam update with bias correction; gradients are then zeroed.
+    Returns the gradients' global norm before clipping."""
     if params is not state.params and list(params) != state.params:
         raise ValueError("parameter list does not match optimizer state")
-    if state.clip:
-        clip_global_norm(state.params, state.clip)
+    norm = clip_global_norm(state.params, state.clip)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.t
@@ -51,4 +52,5 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         v += (1.0 - b2) * p.grad ** 2
         p.value -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
         p.zero_grad()
+    return norm
 

@@ -8,6 +8,7 @@ run resumed from a checkpoint continues bit-identically to the unbroken run
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .corpus import BatchPlan, EOS_ID, TokenizedSentence
 from .errors import NumericalError
 from .metrics import wer
 from .model import JsccModel
-from .optim import AdamState, adam_step, global_grad_norm
+from .optim import AdamState, adam_step
 
 
 def tf_schedule(epoch: int, start_epochs: int = 5, decay_epochs: int = 10,
@@ -49,6 +50,9 @@ class EpochLog:
     mean_loss: float
     train_wer: float
     tf_prob: float
+    grad_norm: float  # mean pre-clip global gradient norm over the steps
+    clip_rate: float  # share of steps whose norm exceeded the clip
+    sentences_per_s: float  # over the epoch's wall time, WER estimate included
 
 
 class Trainer:
@@ -61,6 +65,7 @@ class Trainer:
         self.adam = adam if adam is not None else AdamState(
             model.parameters(), lr=settings.lr, clip=settings.clip)
         self.epoch = start_epoch
+        self.last_grad_norm: float | None = None  # the latest step's pre-clip norm
 
     def _epoch_rng(self, epoch: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -68,20 +73,22 @@ class Trainer:
 
     def _step(self, ids: np.ndarray, targets: np.ndarray, tf_prob: float,
               rng: np.random.Generator, epoch: int, batch_idx: int) -> float:
+        """One training step; returns its loss and sets last_grad_norm."""
         model = self.model
         bits, enc_cache = model.encode_training(ids, rng)
         cfg = ChannelConfig(p_d=self.settings.erasure_prob, seed=0)
         obs = erase(bits, cfg, rng)
         loss, _, dec_cache = model.decode_teacher_forced(obs, targets, tf_prob, rng)
         if not math.isfinite(loss):
+            norm = "none" if self.last_grad_norm is None else f"{self.last_grad_norm:.3e}"
             raise NumericalError(
                 f"non-finite loss {loss} at epoch {epoch}, batch {batch_idx}, "
-                f"grad norm {global_grad_norm(model.parameters()):.3e}")
+                f"previous step's grad norm {norm}")
         d_obs = model.decode_backward(dec_cache)
         # erased bits had no effect on the loss; survivors pass the gradient
         survive = (obs != 0).astype(d_obs.dtype)
         model.encode_backward(enc_cache, d_obs * survive)
-        adam_step(model.parameters(), self.adam)
+        self.last_grad_norm = adam_step(model.parameters(), self.adam)
         return loss
 
     def estimate_train_wer(self, sentences: list[TokenizedSentence], plan: BatchPlan,
@@ -105,17 +112,22 @@ class Trainer:
         logs: list[EpochLog] = []
         s = self.settings
         for _ in range(epochs):
+            start = time.perf_counter()
             self.epoch += 1
             rng = self._epoch_rng(self.epoch)
             tf_prob = tf_schedule(self.epoch, s.tf_start_epochs, s.tf_decay_epochs, s.tf_min)
-            losses = []
+            losses, norms = [], []
             for batch_idx, batch in enumerate(plan.batches):
                 ids = np.array([sentences[i].ids for i in batch], dtype=np.int64)
                 targets = np.concatenate(
                     [ids, np.full((ids.shape[0], 1), EOS_ID, dtype=np.int64)], axis=1)
                 losses.append(self._step(ids, targets, tf_prob, rng, self.epoch, batch_idx))
+                norms.append(self.last_grad_norm)
             train_wer = self.estimate_train_wer(sentences, plan, rng)
-            log = EpochLog(self.epoch, sum(losses) / len(losses), train_wer, tf_prob)
+            clipped = sum(n > self.adam.clip > 0.0 for n in norms)
+            log = EpochLog(self.epoch, sum(losses) / len(losses), train_wer, tf_prob,
+                           sum(norms) / len(norms), clipped / len(norms),
+                           sum(map(len, plan.batches)) / (time.perf_counter() - start))
             logs.append(log)
             if on_epoch is not None:
                 on_epoch(log)

@@ -156,7 +156,7 @@ class TestTrain:
         args = ["train", "--seed", "3", "--set", "train.epochs=2"] + SMALL_MODEL + base
         assert run(args) == 0
         rows = (out / "trainlog.csv").read_text().splitlines()
-        assert rows[0] == "epoch,loss,train_wer,tf_prob"
+        assert rows[0] == "epoch,loss,train_wer,tf_prob,grad_norm,clip_rate,sentences_per_s"
         assert len(rows) == 3
 
     def test_resume_reproduces_unbroken_run(self, workdir):

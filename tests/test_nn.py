@@ -265,10 +265,13 @@ class TestNarrowMatmul:
         assert _panel_rows(2048, 4, 512) == 256
         assert _panel_rows(1000, 4, 512) == 250
         assert _panel_rows(2048, 4, 200) == 1024
+        # no divisor fits: full panels of the widest height plus a ragged one
+        assert _panel_rows(2053, 4, 512) == 488  # prime
+        assert _panel_rows(20004, 4, 512) == 488  # 2**2 * 3 * 1667
 
     def test_whole_product_cases(self):
         assert _panel_rows(2048, 1, 512) == 2048
-        assert _panel_rows(2053, 4, 512) == 2053  # prime: no panel height divides it
+        assert _panel_rows(100, 4, 5000) == 100  # a panel under the cutoff is too short
         model = JsccModel(JsccConfig(vocab_size=1000), seed=0)
         cells = [cell for pair in model.encoder for cell in pair] + model.decoder
         weights = [w.value for cell in cells for w in (cell.Wx, cell.Wh)] + [model.W_out.value]
@@ -276,8 +279,7 @@ class TestNarrowMatmul:
             for W in weights:
                 assert _panel_rows(W.shape[0], n, W.shape[1]) == W.shape[0], (W.shape, n)
 
-    @pytest.mark.parametrize("m, n, k", [(300, 4, 256), (2048, 1, 512), (2048, 32, 512),
-                                         (2053, 4, 512)])
+    @pytest.mark.parametrize("m, n, k", [(300, 4, 256), (2048, 1, 512), (2048, 32, 512)])
     def test_plain_path_is_exact(self, m, n, k):
         W, x = self._operands(m, n, k, np.float32)
         assert _panel_rows(m, n, k) == m
@@ -286,7 +288,7 @@ class TestNarrowMatmul:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("m, n, k", [(2048, 4, 512), (2048, 2, 512), (2048, 8, 200),
                                          (1000, 4, 512), (999, 3, 512), (1536, 16, 200),
-                                         (1024, 4, 256)])
+                                         (1024, 4, 256), (2053, 4, 512)])
     def test_panel_path_agrees_within_roundoff(self, m, n, k, dtype):
         W, x = self._operands(m, n, k, dtype, seed=m + n + k)
         assert _panel_rows(m, n, k) < m
@@ -297,18 +299,20 @@ class TestNarrowMatmul:
         assert np.all(np.abs(got - W @ x) <= bound)
 
     def test_panels_are_a_view_of_the_weights(self, monkeypatch):
-        W, x = self._operands(2048, 4, 512, np.float32)
         seen = []
         batched = np.matmul
 
-        def spy(a, b):
+        def spy(a, b, **kwargs):
             seen.append(a)
-            return batched(a, b)
+            return batched(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        matmul(W, x)
-        assert len(seen) == 1 and seen[0].shape == (8, 256, 512)
-        assert np.shares_memory(seen[0], W)
+        for m, shapes in ((2048, [(8, 256, 512)]), (2053, [(4, 488, 512), (101, 512)])):
+            W, x = self._operands(m, 4, 512, np.float32)
+            seen.clear()
+            matmul(W, x)
+            assert [a.shape for a in seen] == shapes
+            assert all(np.shares_memory(a, W) for a in seen)
 
 
 class TestOptimizers:
@@ -331,6 +335,13 @@ class TestOptimizers:
         norm = clip_global_norm([p], 2.5)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("clip", [2.5, 0.0])
+    def test_adam_step_returns_pre_clip_norm(self, clip):
+        p = param(np.zeros((1, 2)))
+        p.grad[...] = [[3.0, 4.0]]
+        assert adam_step([p], AdamState([p], clip=clip)) == 5.0
+        assert np.all(p.grad == 0)
 
 
 class TestGradientCheckHarness:

@@ -1,11 +1,19 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 
+from textjscc import gradcheck, nn, training
 from textjscc.checkpoint import load_model, read_checkpoint, restore_adam, save_checkpoint
 from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
-from textjscc.errors import IoError
+from textjscc.errors import IoError, NumericalError
+from textjscc.gradcheck import run_verification_suite
 from textjscc.model import JsccConfig, JsccModel
 from textjscc.training import Trainer, TrainSettings, tf_schedule
+
+EVERY_SUM_INLINE = 2**62
+REAL_INLINE_ELEMENTS = nn.INLINE_GRAD_ELEMENTS
 
 
 def toy_corpus(n=8, seed=7):
@@ -201,12 +209,180 @@ class TestCheckpoint:
 
 class TestNumericalGuard:
     def test_non_finite_loss_raises(self):
-        from textjscc.errors import NumericalError
-
         vocab, toks = toy_corpus()
         model = small_model(len(vocab))
         model.W_out.value[...] = np.inf
         plan = batch_by_length(toks, 8)
         trainer = Trainer(model, TrainSettings(seed=1))
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
             trainer.run(toks, plan, 1)
+        assert str(info.value).endswith("at epoch 1, batch 0, previous step's grad norm none")
+
+    def test_message_reports_previous_step_norm(self):
+        vocab, toks = toy_corpus()
+        model = small_model(len(vocab))
+        plan = batch_by_length(toks, 8)
+        trainer = Trainer(model, TrainSettings(seed=1))
+        trainer.run(toks, plan, 1)
+        norm = trainer.last_grad_norm
+        assert norm > 0.0
+        model.W_out.value[...] = np.inf
+        expected = f"at epoch 2, batch 0, previous step's grad norm {norm:.3e}"
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=re.escape(expected)):
+            trainer.run(toks, plan, 1)
+
+
+class TestEpochLog:
+    def test_norm_clip_rate_and_throughput(self, monkeypatch):
+        vocab, toks = toy_corpus()
+        plan = batch_by_length(toks, 8)
+        steps = len(plan.batches)
+        assert steps >= 2
+        norms = iter([6.0] + [1.0] * (steps - 1))  # only the first exceeds the clip
+        monkeypatch.setattr(training, "adam_step", lambda params, state: next(norms))
+        trainer = Trainer(small_model(len(vocab)), TrainSettings(clip=5.0, wer_sample=4))
+        log = trainer.run(toks, plan, 1)[0]
+        assert log.grad_norm == pytest.approx((6.0 + steps - 1) / steps)
+        assert log.clip_rate == pytest.approx(1 / steps)
+        assert 0.0 < log.sentences_per_s < float("inf")
+
+    def test_norm_is_the_optimizer_pre_clip_norm(self, monkeypatch):
+        vocab, toks = toy_corpus()
+        plan = batch_by_length(toks, 8)
+        seen = []
+        adam_step = training.adam_step
+
+        def recording(params, state):
+            seen.append(adam_step(params, state))
+            return seen[-1]
+        monkeypatch.setattr(training, "adam_step", recording)
+        trainer = Trainer(small_model(len(vocab)), TrainSettings(clip=1e-3, wer_sample=4))
+        log = trainer.run(toks, plan, 1)[0]
+        assert len(seen) == len(plan.batches) and min(seen) > 1e-3
+        assert log.grad_norm == pytest.approx(sum(seen) / len(seen))
+        assert log.clip_rate == 1.0
+
+
+def one_queued_parameter_model(vocab_size):
+    """A model whose only parameter at or above the real inline threshold
+    is the decoder's recurrent weight (4 * 128 x 128 = 2**16 entries)."""
+    config = JsccConfig(vocab_size=vocab_size, embed_dim=16, encoder_stacks=1,
+                        encoder_hidden=8, decoder_stacks=1, decoder_hidden=128,
+                        bits=32, beam_width=2, max_decode_len=10)
+    model = JsccModel(config, seed=4)
+    queued = [p.name for p in model.parameters() if p.value.size >= REAL_INLINE_ELEMENTS]
+    assert queued == ["dec0.Wh"]
+    return model
+
+
+class TestGradientWorker:
+    """Sums queued on the gradient worker equal the sums made inline."""
+
+    @staticmethod
+    def _step_gradients(monkeypatch, inline_elements):
+        """The gradients of every step of one f64 epoch, as the optimizer
+        would read them, and how many jobs each step left queued."""
+        monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", inline_elements)
+        steps = []
+
+        def capture(params, state):
+            queued = len(nn._pending)
+            steps.append(([p.grad.copy() for p in params], queued))
+            nn.zero_grads(params)
+            return 1.0
+        monkeypatch.setattr(training, "adam_step", capture)
+        vocab, toks = toy_corpus()
+        settings = TrainSettings(erasure_prob=0.2, tf_start_epochs=0, seed=3, wer_sample=4)
+        Trainer(small_model(len(vocab), precision="f64"), settings).run(
+            toks, batch_by_length(toks, 8), 1)
+        return steps
+
+    def test_queued_step_is_bit_identical(self, monkeypatch):
+        inline = self._step_gradients(monkeypatch, EVERY_SUM_INLINE)
+        queued = self._step_gradients(monkeypatch, 0)
+        assert len(inline) == len(queued) >= 2
+        for (a, none_queued), (b, some_queued) in zip(inline, queued):
+            assert none_queued == 0 and some_queued > 0
+            for x, y in zip(a, b):
+                assert x.dtype == np.float64 and np.array_equal(x, y)
+
+    def test_verification_suite_passes_with_sums_queued(self, monkeypatch):
+        """Every analytic gradient is summed on the worker.  The probes
+        around each entry discard their sums, so they accumulate inline:
+        queued, their tiny jobs would add a minute of thread handoffs and
+        check nothing more."""
+        monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
+        forward_only = gradcheck._forward_only
+
+        def probe_inline(loss_fn, params):
+            with monkeypatch.context() as inline:
+                inline.setattr(nn, "INLINE_GRAD_ELEMENTS", EVERY_SUM_INLINE)
+                return forward_only(loss_fn, params)
+        monkeypatch.setattr(gradcheck, "_forward_only", probe_inline)
+        monkeypatch.setattr(nn, "_worker", None)
+        results = run_verification_suite(seed=0)
+        assert max(results.values()) < 1e-4, results
+        assert nn._worker is not None
+        nn._worker.shutdown()
+
+    def test_training_with_one_queued_parameter_is_bit_identical(self, monkeypatch):
+        vocab, toks = toy_corpus()
+        plan = batch_by_length(toks, 8)
+        settings = TrainSettings(erasure_prob=0.1, tf_start_epochs=1, seed=2, wer_sample=4)
+        runs = []
+        for inline_elements in (EVERY_SUM_INLINE, REAL_INLINE_ELEMENTS):
+            monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", inline_elements)
+            monkeypatch.setattr(nn, "_worker", None)
+            model = one_queued_parameter_model(len(vocab))
+            logs = Trainer(model, settings).run(toks, plan, 3)
+            runs.append(([log.mean_loss for log in logs], model.parameters(), nn._worker))
+        (inline_losses, inline_params, no_worker), (losses, params, worker) = runs
+        assert no_worker is None and worker is not None
+        assert losses == inline_losses
+        for p, q in zip(inline_params, params):
+            assert np.array_equal(p.value, q.value), p.name
+        worker.shutdown()
+
+    def test_failing_job_raises_at_next_read(self, monkeypatch):
+        monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
+        p = nn.Parameter(np.zeros((2, 2)), "p")
+        error = ValueError("job failed")
+
+        def failing(grad):
+            raise error
+        p.accumulate(failing)
+        p.accumulate(nn.add_row_sums, np.ones((2, 3)))  # queued behind it, still runs
+        with pytest.raises(ValueError) as info:
+            p.grad
+        assert info.value is error
+        assert not nn._pending
+        assert p.grad.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+
+    def test_reads_see_every_queued_sum(self, monkeypatch):
+        """Under a short switch interval, each read sees every job queued
+        before it; a lost update or a read before its sums would break it."""
+        monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
+        params = [nn.Parameter(np.zeros((4, 1)), f"p{i}") for i in range(3)]
+        ones = np.ones((4, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for burst in range(1, 301):
+                for p in params:
+                    p.accumulate(nn.add_row_sums, ones)
+                assert np.all(params[burst % 3].grad == burst)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.all(p.grad == 300) for p in params)
+
+    def test_inference_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("inference started the gradient worker")
+        monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
+        monkeypatch.setattr(nn, "_worker", None)
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", no_thread)
+        vocab, toks = toy_corpus()
+        model = one_queued_parameter_model(len(vocab))
+        codewords = model.encode_sentences(toks)
+        model.beam_search_decode(codewords[0].astype(np.float32))
+        assert nn._worker is None and not nn._pending
