@@ -98,6 +98,8 @@ class RunConfig:
             raise ConfigError(f"unknown baseline.fec_mode {v['baseline.fec_mode']!r}")
         if v["train.precision"] not in ("f32", "f64"):
             raise ConfigError(f"train.precision must be f32 or f64")
+        if v["baseline.lz_batch"] < 1:
+            raise ConfigError(f"baseline.lz_batch must be >= 1, got {v['baseline.lz_batch']}")
         if not v["sweep.values"]:
             raise ConfigError("sweep.values must be a nonempty array")
 

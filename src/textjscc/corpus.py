@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DomainError, EmptyCorpus, IoError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 
 PAD, UNK, SOS, EOS = "<pad>", "<unk>", "<sos>", "<eos>"
 SPECIALS = (PAD, UNK, SOS, EOS)
@@ -49,11 +49,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                tokens = fh.read().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoError(f"cannot read vocabulary file {path}: {exc}") from exc
+        tokens = read_text(path, "vocabulary file").splitlines()
         if tuple(tokens[:4]) != SPECIALS:
             raise DomainError(f"vocabulary file {path} lacks the special token header")
         for n, token in enumerate(tokens[4:], start=5):
@@ -98,12 +94,7 @@ class CharFrequencyTable:
     @classmethod
     def load(cls, path: str) -> "CharFrequencyTable":
         counts: dict[str, int] = {}
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoError(f"cannot read frequency table {path}: {exc}") from exc
-        for line in filter(None, lines):
+        for line in filter(None, read_text(path, "frequency table").splitlines()):
             ch, _, n = line.rpartition("\t")
             if len(ch) != 1 or not n.isdecimal():
                 raise IoError(f"frequency table {path}: malformed line {line!r}")
@@ -192,11 +183,7 @@ def char_frequencies(corpus: Iterable[str]) -> CharFrequencyTable:
 
 def read_lines(path: str) -> list[str]:
     """Read a one-sentence-per-line UTF-8 corpus file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read corpus file {path}: {exc}") from exc
+    return [line for line in read_text(path, "corpus file").splitlines() if line.strip()]
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:

@@ -1,4 +1,4 @@
-"""The one way the toolkit writes a file."""
+"""The one way the toolkit writes a file, and reads a whole text file."""
 
 from __future__ import annotations
 
@@ -29,3 +29,13 @@ def write_atomic(path: str, binary: bool = False):
     finally:
         with suppress(OSError):  # already renamed away on success
             os.remove(tmp)
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of path.  An OSError or bytes that are not UTF-8
+    become IoError naming `what` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc

@@ -6,6 +6,13 @@ splits the channel observation in half, maps the halves into per-stack
 initial states (the cell-state map is affine, deliberately without tanh), and
 runs stacked LSTMs with a dense vocabulary projection.
 
+The bottleneck reads only the last position, where the top layer's backward
+direction has seen a single input: that position's.  So that direction runs
+one cell step, on the last position from a zero state, and the rest of its
+run (whose gradients would be exactly zero) is never computed.  Reading its
+whole-sentence final state instead, as a `bidirectional_dynamic_rnn` final
+state would, is a different model: it would change every trained result.
+
 Gradients pass through the binarizer unchanged (straight-through: the
 derivative of its expectation, which is the identity), and through the
 channel only at surviving positions.
@@ -38,6 +45,8 @@ from .nn import (
     log_softmax,
     lstm_cell_backward,
     lstm_cell_forward,
+    lstm_run,
+    lstm_run_backward,
     matmul,
     softmax_cross_entropy,
 )
@@ -171,44 +180,49 @@ class JsccModel:
 
     def _encoder_forward(self, xs: list[np.ndarray]):
         """Stacked BLSTMs then the two tanh bottleneck maps; returns
-        (h_star, c_star, cache)."""
-        stack_caches = []
+        (h_star, c_star, cache).  The top layer's backward direction is one
+        cell step on the last position (see the module docstring)."""
+        *lower, (top_fwd, top_bwd) = self.encoder
+        layer_caches = []
         lasts_h, lasts_c = [], []
         seq = xs
-        for fwd, bwd in self.encoder:
+        for fwd, bwd in lower:
             hs, cs, cache = blstm_layer_forward(fwd, bwd, seq)
-            stack_caches.append(cache)
+            layer_caches.append(cache)
             lasts_h.append(hs[-1])
             lasts_c.append(cs[-1])
             seq = hs
-        h = np.concatenate(lasts_h, axis=0)
-        c = np.concatenate(lasts_c, axis=0)
+        hs_f, cs_f, caches_f = lstm_run(top_fwd, seq)
+        zero = np.zeros((top_bwd.hidden_dim, seq[-1].shape[1]), dtype=top_bwd.Wx.value.dtype)
+        h_b, c_b, cache_b = lstm_cell_forward(top_bwd, seq[-1], zero, zero)
+        h = np.concatenate(lasts_h + [hs_f[-1], h_b], axis=0)
+        c = np.concatenate(lasts_c + [cs_f[-1], c_b], axis=0)
         h_star, cache_h = dense_forward(self.W_h, self.a_h, h, "tanh")
         c_star, cache_c = dense_forward(self.W_c, self.a_c, c, "tanh")
-        return h_star, c_star, (stack_caches, cache_h, cache_c, len(xs))
+        return h_star, c_star, (layer_caches, caches_f, cache_b, cache_h, cache_c)
 
     def _encoder_backward(self, cache, d_hstar, d_cstar, ids_full: np.ndarray) -> None:
-        stack_caches, cache_h, cache_c, T = cache
-        dh_concat = dense_backward(cache_h, d_hstar)
-        dc_concat = dense_backward(cache_c, d_cstar)
-        width = 2 * self.config.encoder_hidden
-        dh_last = [dh_concat[j * width:(j + 1) * width] for j in range(len(self.encoder))]
-        dc_last = [dc_concat[j * width:(j + 1) * width] for j in range(len(self.encoder))]
-
-        d_from_above: list[np.ndarray] | None = None
-        for j in reversed(range(len(self.encoder))):
+        layer_caches, caches_f, cache_b, cache_h, cache_c = cache
+        dh = dense_backward(cache_h, d_hstar)
+        dc = dense_backward(cache_c, d_cstar)
+        n = self.config.encoder_hidden
+        T = len(caches_f)
+        # rows of the top layer's last step: n forward, then n backward
+        top = 2 * n * len(layer_caches)
+        top_fwd, top_bwd = self.encoder[-1]
+        zero = np.zeros_like(dh[:2 * n])
+        dxs = lstm_run_backward(top_fwd, caches_f, [zero[:n]] * (T - 1) + [dh[top:top + n]],
+                                [zero[:n]] * (T - 1) + [dc[top:top + n]])
+        dx_b, _, _ = lstm_cell_backward(top_bwd, cache_b, dh[top + n:], dc[top + n:])
+        dxs[-1] = dxs[-1] + dx_b
+        for j in reversed(range(len(layer_caches))):
             fwd, bwd = self.encoder[j]
-            zeros_h = np.zeros_like(dh_last[j])
-            dhs = [zeros_h.copy() for _ in range(T)]
-            dcs = [zeros_h.copy() for _ in range(T)]
-            dhs[-1] += dh_last[j]
-            dcs[-1] += dc_last[j]
-            if d_from_above is not None:
-                for t in range(T):
-                    dhs[t] += d_from_above[t]
-            d_from_above = blstm_layer_backward(fwd, bwd, stack_caches[j], dhs, dcs)
+            rows = slice(2 * n * j, 2 * n * (j + 1))
+            dhs = dxs[:-1] + [dxs[-1] + dh[rows]]
+            dcs = [zero] * (T - 1) + [dc[rows]]
+            dxs = blstm_layer_backward(fwd, bwd, layer_caches[j], dhs, dcs)
         for t in range(T):
-            self.embed.accumulate(np.add.at, ids_full[:, t], d_from_above[t].T)
+            self.embed.accumulate(np.add.at, ids_full[:, t], dxs[t].T)
 
     def encode_batch(self, ids_batch, mode: str = "deterministic",
                      rng: np.random.Generator | None = None):
@@ -459,29 +473,45 @@ class JsccModel:
 
 
 def load_pretrained_embeddings(model: JsccModel, vocab: Vocabulary, path: str) -> int:
-    """Overwrite embedding rows from a Glove-format text file.
+    """Overwrite embedding rows from a Glove-format UTF-8 text file.
 
     Each line is `token v1 ... v_d`.  Tokens absent from the file keep their
-    random initialization.  Returns the number of rows loaded.
+    random initialization.  Returns the number of rows loaded.  A line that
+    is not UTF-8 raises IoError; a vocabulary token whose values are not d
+    finite numbers in the model's precision raises DomainError.
     """
     loaded = 0
+    dim = model.config.embed_dim
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")  # decoded line by line, to name the bad line
     except OSError as exc:
         raise IoError(f"cannot read embedding file {path}: {exc}") from exc
     with fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
+        for n, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                token = raw.split(b" ", 1)[0]
+                raise IoError(f"embedding file {path} line {n}: {token!r} "
+                              f"is not UTF-8: {exc}") from exc
+            parts = line.rstrip("\r\n").split(" ")
             if len(parts) < 2:
                 continue
             token, values = parts[0], parts[1:]
             if token not in vocab:
                 continue
-            if len(values) != model.config.embed_dim:
-                raise DomainError(
-                    f"embedding for {token!r} has {len(values)} dims, "
-                    f"expected {model.config.embed_dim}")
-            row = np.array([float(v) for v in values], dtype=model.config.dtype)
+            where = f"embedding file {path} line {n}: {token!r}"
+            if len(values) != dim:
+                raise DomainError(f"{where} has {len(values)} dims, expected {dim}")
+            try:
+                floats = [float(v) for v in values]
+            except ValueError as exc:
+                raise DomainError(f"{where} has a non-numeric value: {exc}") from exc
+            with np.errstate(over="ignore"):  # f32 overflow shows as inf below
+                row = np.array(floats, dtype=model.config.dtype)
+            if not np.all(np.isfinite(row)):
+                raise DomainError(f"{where} has a value that is not finite in "
+                                  f"{model.config.precision}")
             model.embed.value[vocab.id_of(token)] = row
             loaded += 1
     return loaded

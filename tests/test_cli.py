@@ -72,6 +72,14 @@ class TestPrepare:
         tmp, out, _ = workdir
         assert run(["prepare", "--out", str(out)]) == 2
 
+    def test_non_utf8_corpus_is_io_error(self, workdir, capsys):
+        tmp, out, base = workdir
+        (tmp / "corpus.txt").write_bytes("the café is open .\n".encode("latin-1"))
+        assert run(["prepare"] + base) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "corpus.txt" in err and "Traceback" not in err
+
 
 class TestFlags:
     def test_unknown_flag_exits_2(self, workdir, capsys):
@@ -262,6 +270,22 @@ class TestSweepCommand:
         assert (out / "sweep_bits_per_sentence.json").read_bytes() == json_blob
         rows = json.loads(json_blob)
         assert {r["system"] for r in rows} == {"huffman", "fixed5"}
+
+    @pytest.mark.parametrize("lz_batch", [0, -1])
+    def test_lz_batch_below_one_exits_2(self, workdir, capsys, lz_batch):
+        tmp, out, base = workdir
+        assert run(["sweep", "--set", f"baseline.lz_batch={lz_batch}"] + base) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "baseline.lz_batch" in err
+
+    def test_lz_batch_one_runs(self, workdir):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        assert run(["sweep", "--set", "baseline.lz_batch=1", "--set", "sweep.values=[200]",
+                    "--set", "sweep.systems=[gzip-batch]", "--set", "sweep.trials=1"]
+                   + base) == 0
+        rows = json.loads((out / "sweep_bits_per_sentence.json").read_text())
+        assert [r["system"] for r in rows] == ["gzip-batch"]
 
     def test_deep_sweep_needs_checkpoint(self, workdir, capsys):
         tmp, out, base = workdir

@@ -124,6 +124,102 @@ class TestEncode:
         assert lengths == {8}
 
 
+def reference_encoder_forward(model, xs):
+    """The encoder with every layer, the top one included, running both
+    directions over the whole sequence through `blstm_layer_forward`."""
+    stack_caches, lasts_h, lasts_c = [], [], []
+    seq = xs
+    for fwd, bwd in model.encoder:
+        hs, cs, cache = nn.blstm_layer_forward(fwd, bwd, seq)
+        stack_caches.append(cache)
+        lasts_h.append(hs[-1])
+        lasts_c.append(cs[-1])
+        seq = hs
+    h_star, cache_h = nn.dense_forward(model.W_h, model.a_h, np.concatenate(lasts_h), "tanh")
+    c_star, cache_c = nn.dense_forward(model.W_c, model.a_c, np.concatenate(lasts_c), "tanh")
+    return h_star, c_star, (stack_caches, cache_h, cache_c, len(xs))
+
+
+def reference_encoder_backward(model, cache, d_hstar, d_cstar, ids_full):
+    """BPTT through every step of every layer of `reference_encoder_forward`,
+    zero gradients included."""
+    stack_caches, cache_h, cache_c, T = cache
+    dh = nn.dense_backward(cache_h, d_hstar)
+    dc = nn.dense_backward(cache_c, d_cstar)
+    width = 2 * model.config.encoder_hidden
+    d_from_above = None
+    for j in reversed(range(len(model.encoder))):
+        fwd, bwd = model.encoder[j]
+        rows = slice(j * width, (j + 1) * width)
+        dhs = [np.zeros_like(dh[rows]) for _ in range(T)]
+        dcs = [np.zeros_like(dh[rows]) for _ in range(T)]
+        dhs[-1] += dh[rows]
+        dcs[-1] += dc[rows]
+        if d_from_above is not None:
+            for t in range(T):
+                dhs[t] += d_from_above[t]
+        d_from_above = nn.blstm_layer_backward(fwd, bwd, stack_caches[j], dhs, dcs)
+    for t in range(T):
+        model.embed.accumulate(np.add.at, ids_full[:, t], d_from_above[t].T)
+
+
+class TestEncoderTopStep:
+    """The top layer's backward direction runs one step, on the last position."""
+
+    @pytest.mark.parametrize("stacks", [1, 2, 3])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_bit_identical_to_full_top_layer(self, monkeypatch, stacks, precision):
+        config = tiny_config(vocab_size=30, embed_dim=9, encoder_stacks=stacks,
+                             encoder_hidden=5, bits=12, precision=precision)
+        ids = np.random.default_rng(1).integers(4, 30, size=(7, 6))
+        targets = np.concatenate([ids, np.full((7, 1), EOS_ID)], axis=1)
+
+        def run():
+            model = JsccModel(config, seed=3)
+            rng = np.random.default_rng(5)
+            expectation = model.encode_batch(ids, "expectation")
+            bits, enc_cache = model.encode_training(ids, rng)
+            loss, _, dec_cache = model.decode_teacher_forced(
+                bits.astype(config.dtype), targets, 0.5, rng)
+            model.encode_backward(enc_cache, model.decode_backward(dec_cache))
+            return expectation, loss, [p.grad.copy() for p in model.parameters()]
+
+        expectation, loss, grads = run()
+        monkeypatch.setattr(JsccModel, "_encoder_forward", reference_encoder_forward)
+        monkeypatch.setattr(JsccModel, "_encoder_backward", reference_encoder_backward)
+        ref_expectation, ref_loss, ref_grads = run()
+        assert np.array_equal(expectation, ref_expectation)
+        assert loss == ref_loss
+        assert len(grads) == len(ref_grads)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stacks", [1, 2, 3])
+    def test_cell_steps_per_encode(self, monkeypatch, stacks):
+        counts = {"forward": 0, "backward": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        fwd = counting("forward", nn.lstm_cell_forward)
+        bwd = counting("backward", nn.lstm_cell_backward)
+        for module in (nn, model_module):
+            monkeypatch.setattr(module, "lstm_cell_forward", fwd)
+            monkeypatch.setattr(module, "lstm_cell_backward", bwd)
+        model = JsccModel(tiny_config(encoder_stacks=stacks), seed=0)
+        words = [4, 5, 6, 7, 8]
+        T = len(words) + 1  # EOS appended
+        steps = 2 * T * (stacks - 1) + T + 1
+        model.encode(words)
+        assert counts == {"forward": steps, "backward": 0}
+        bits, enc_cache = model.encode_training(np.array([words]), np.random.default_rng(0))
+        model.encode_backward(enc_cache, np.ones(bits.shape))
+        assert counts == {"forward": 2 * steps, "backward": steps}
+
+
 class TestDecoderInit:
     def test_split_shapes(self):
         model = JsccModel(tiny_config(), seed=0)

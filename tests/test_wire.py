@@ -51,3 +51,40 @@ class TestPretrainedEmbeddings:
         model = small_model(vocab)
         with pytest.raises(IoError):
             load_pretrained_embeddings(model, vocab, "/nonexistent/glove.txt")
+
+    def test_loads_exact_values_with_crlf_and_short_lines(self, tmp_path, vocab):
+        model = small_model(vocab)
+        path = tmp_path / "glove.txt"
+        path.write_bytes(b"cat 0.1 -2.5e-3 3 1e30\r\n\nlonely\nmat 1 2 3 4\n")
+        assert load_pretrained_embeddings(model, vocab, str(path)) == 2
+        want = np.array([float(v) for v in "0.1 -2.5e-3 3 1e30".split()], dtype=np.float32)
+        assert np.array_equal(model.embed.value[vocab.id_of("cat")], want)
+
+    @pytest.mark.parametrize("values", ["0.1 x 0.3 0.4", "1 2 3 0x1", "nan 1 1 1",
+                                        "1 inf 1 1", "1 1 -inf 1", "1 1 1 1e39"])
+    def test_bad_values_name_file_and_token(self, tmp_path, vocab, values):
+        model = small_model(vocab)
+        before = model.embed.value.copy()
+        path = tmp_path / "glove.txt"
+        path.write_text(f"mat 1 2 3 4\ncat {values}\n")
+        with pytest.raises(DomainError) as info:
+            load_pretrained_embeddings(model, vocab, str(path))
+        assert str(path) in str(info.value) and "'cat'" in str(info.value)
+        assert np.array_equal(model.embed.value[vocab.id_of("cat")],
+                              before[vocab.id_of("cat")])
+
+    def test_bad_values_of_absent_tokens_are_skipped(self, tmp_path, vocab):
+        model = small_model(vocab)
+        path = tmp_path / "glove.txt"
+        path.write_text("unrelated x nan 1\ncat 1 2 3 4\n")
+        assert load_pretrained_embeddings(model, vocab, str(path)) == 1
+
+    def test_non_utf8_is_io_error(self, tmp_path, vocab):
+        from textjscc.errors import IoError
+
+        model = small_model(vocab)
+        path = tmp_path / "glove.txt"
+        path.write_bytes(b"cat 1 1 1 1\nm\xe4t 1 1 1 1\n")
+        with pytest.raises(IoError) as info:
+            load_pretrained_embeddings(model, vocab, str(path))
+        assert str(path) in str(info.value) and "line 2" in str(info.value)
