@@ -37,7 +37,7 @@ from .corpus import (
 from .errors import ConfigError, DecodeFailure, IoError, TextJsccError
 from .fec import plan_budget
 from .fileio import write_atomic
-from .gradcheck import run_verification_suite
+from .gradcheck import TOLERANCE, run_verification_suite
 from .huffman import HuffmanCodebook, codebook_for_pipeline
 from .metrics import wer
 from .model import JsccModel, load_pretrained_embeddings
@@ -45,8 +45,6 @@ from .sweeps import SYSTEMS, emit_results, encode_group, run_sweep, transmit_gro
 from .training import Trainer
 
 log = logging.getLogger("textjscc")
-
-GRADCHECK_TOL = 1e-4
 
 
 def _setup_logging() -> None:
@@ -139,7 +137,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
     ckpt_path = _out_path(cfg, "model.tjscc")
     log_path = _out_path(cfg, "trainlog.csv")
-    every = max(1, cfg["train.checkpoint_every"])
+    every = cfg["train.checkpoint_every"]
     rows = []
 
     def on_epoch(entry):
@@ -262,10 +260,10 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
     results = run_verification_suite(seed=cfg["seed"])
     ok = True
     for name, err in results.items():
-        passed = err < GRADCHECK_TOL
+        passed = err < TOLERANCE
         ok = ok and passed
         print(f"{name}: max relative error {err:.3e} "
-              f"{'PASS' if passed else 'FAIL'} (tolerance {GRADCHECK_TOL:g})")
+              f"{'PASS' if passed else 'FAIL'} (tolerance {TOLERANCE:g})")
     if not ok:
         raise TextJsccError("gradient check failed")
     return 0

@@ -71,6 +71,38 @@ _ACCEPTS = {
     list: (list, "an array"),
 }
 
+# The allowed range of each numeric key, in interval notation: a square
+# bracket includes its bound, a round one excludes it.
+RANGES = {
+    "seed": "[0, inf)",
+    "corpus.vocab_size": "[5, inf)",  # the four special tokens and one word
+    "corpus.max_unk_frac": "[0, 1]",
+    "model.embed_dim": "[1, inf)",
+    "model.encoder_stacks": "[1, inf)",
+    "model.encoder_hidden": "[1, inf)",
+    "model.decoder_stacks": "[1, inf)",
+    "model.decoder_hidden": "[1, inf)",
+    "model.beam_width": "[1, inf)",
+    "model.max_decode_len": "[1, inf)",
+    "train.batch_size": "[1, inf)",
+    "train.epochs": "[0, inf)",
+    "train.lr": "(0, inf)",
+    "train.clip": "[0, inf)",  # 0 turns clipping off
+    "train.tf_min": "[0, 1]",
+    "train.checkpoint_every": "[1, inf)",
+    "train.wer_sample": "[0, inf)",  # 0 turns the WER estimate off
+    "channel.erasure_prob": "[0, 1)",
+    "baseline.lz_batch": "[1, inf)",
+    "sweep.trials": "[1, inf)",
+}
+
+
+def _within(value, interval: str) -> bool:
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    below = value < high if interval[-1] == ")" else value <= high
+    return above and below
+
 
 class RunConfig:
     """Validated flat-key configuration."""
@@ -89,17 +121,15 @@ class RunConfig:
             accepted, want = _ACCEPTS[type(DEFAULTS[key])]
             if not isinstance(value, accepted) or isinstance(value, bool):
                 raise ConfigError(f"{key} must be {want}, got {value!r}")
+        for key, interval in RANGES.items():
+            if not _within(v[key], interval):
+                raise ConfigError(f"{key} must lie in {interval}, got {v[key]!r}")
         if v["model.bits"] % 2 != 0 or v["model.bits"] < 2:
             raise ConfigError(f"model.bits must be even and >= 2, got {v['model.bits']}")
-        if not 0.0 <= v["channel.erasure_prob"] < 1.0:
-            raise ConfigError(
-                f"channel.erasure_prob must lie in [0, 1), got {v['channel.erasure_prob']}")
         if v["baseline.fec_mode"] not in ("idealized", "concrete"):
             raise ConfigError(f"unknown baseline.fec_mode {v['baseline.fec_mode']!r}")
         if v["train.precision"] not in ("f32", "f64"):
             raise ConfigError(f"train.precision must be f32 or f64")
-        if v["baseline.lz_batch"] < 1:
-            raise ConfigError(f"baseline.lz_batch must be >= 1, got {v['baseline.lz_batch']}")
         if not v["sweep.values"]:
             raise ConfigError("sweep.values must be a nonempty array")
 

@@ -1,82 +1,82 @@
 """Finite-difference verification of the analytic gradients.
 
+A check gives its pass as two closures: forward() returns (loss, cache) and
+backward(cache) adds the analytic gradients.  backward runs once; every
+finite-difference probe runs forward alone, so probes make no gradient sums.
+
 All checks run in float64: central differences at h=1e-5 cannot resolve
-float32 round-off.  The relative error uses a denominator floor so that
-near-zero gradient entries compare on an absolute scale: central differences
-of an O(10) loss carry ~1e-10 of rounding noise, so entries below the floor
-are held to |analytic - numeric| < floor * tolerance instead of a raw ratio.
+float32 round-off.  Central differences of an O(10) loss carry ~1e-10 of
+rounding noise, so entries below DENOM_FLOOR compare on an absolute scale:
+|analytic - numeric| < DENOM_FLOOR * TOLERANCE instead of a raw ratio.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import NumericalError
-from .nn import Parameter, zero_grads
+from .nn import (LstmCellParams, Parameter, blstm_layer_backward, blstm_layer_forward,
+                 dense_backward, dense_forward, glorot, lstm_cell_backward, lstm_cell_forward,
+                 softmax_cross_entropy, zero_grads)
 
 DENOM_FLOOR = 1e-5
+TOLERANCE = 1e-4  # a check passes when its max relative error is below this
 
 
 def numeric_gradient(loss_fn: Callable[[], float], param: Parameter,
                      eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of loss_fn wrt every entry of param."""
+    """Central finite differences of loss_fn wrt every entry of param.  The
+    probed entry is restored even when loss_fn raises."""
     grad = np.zeros_like(param.value)
     flat = param.value.reshape(-1)
-    gflat = grad.reshape(-1)
     for idx in range(flat.size):
         orig = flat[idx]
-        flat[idx] = orig + eps
-        up = loss_fn()
-        flat[idx] = orig - eps
-        down = loss_fn()
-        flat[idx] = orig
-        gflat[idx] = (up - down) / (2.0 * eps)
+        try:
+            flat[idx] = orig + eps
+            up = loss_fn()
+            flat[idx] = orig - eps
+            down = loss_fn()
+        finally:
+            flat[idx] = orig
+        grad.flat[idx] = (up - down) / (2.0 * eps)
     return grad
 
 
-def gradient_check(loss_fn: Callable[[], float], params: list[Parameter],
-                   eps: float = 1e-5) -> float:
+def gradient_check(forward: Callable[[], tuple[float, Any]], backward: Callable[[Any], None],
+                   params: list[Parameter], eps: float = 1e-5) -> float:
     """Max relative error between analytic and numeric gradients.
 
-    loss_fn must run the full forward AND backward pass, accumulating grads
-    into the given parameters, and return the scalar loss.  It must be
-    deterministic (any stochastic pieces replaced by their expectation).
+    forward() returns (loss, cache) and backward(cache) adds the analytic
+    gradients into params.  Both must be deterministic (any stochastic pieces
+    replaced by their expectation).  backward runs once and forward 1 + 2 *
+    (entries of params) times.  The gradients are zero on return.
     """
     if any(p.value.dtype != np.float64 for p in params):
         raise NumericalError("gradient_check requires float64 parameters")
-    zero_grads(params)
-    loss = loss_fn()
-    if not math.isfinite(loss):
-        raise NumericalError(f"non-finite loss {loss} in gradient check")
-    analytic = [p.grad.copy() for p in params]
 
+    def finite_forward():
+        loss, cache = forward()
+        if not np.isfinite(loss):
+            raise NumericalError(f"non-finite loss {loss} in gradient check")
+        return loss, cache
+
+    zero_grads(params)
+    backward(finite_forward()[1])
+    analytic = [p.grad.copy() for p in params]
+    zero_grads(params)
     worst = 0.0
     for p, a in zip(params, analytic):
-        numeric = numeric_gradient(lambda: _forward_only(loss_fn, params), p, eps)
+        numeric = numeric_gradient(lambda: finite_forward()[0], p, eps)
         denom = np.maximum(np.abs(a) + np.abs(numeric), DENOM_FLOOR)
-        rel = np.abs(a - numeric) / denom
-        worst = max(worst, float(rel.max()))
-    zero_grads(params)
+        worst = max(worst, float((np.abs(a - numeric) / denom).max()))
     return worst
-
-
-def _forward_only(loss_fn: Callable[[], float], params: list[Parameter]) -> float:
-    # the closure also accumulates grads; discard them after each probe
-    loss = loss_fn()
-    if not math.isfinite(loss):
-        raise NumericalError(f"non-finite loss {loss} in finite-difference probe")
-    zero_grads(params)
-    return loss
 
 
 # ---------------- verification suite ----------------
 
 def check_dense(seed: int = 0) -> float:
-    from .nn import dense_backward, dense_forward, glorot
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for activation in ("tanh", "identity"):
@@ -84,66 +84,63 @@ def check_dense(seed: int = 0) -> float:
         a = Parameter(rng.normal(0, 0.3, (4, 1)), "a")
         x = Parameter(rng.normal(0, 1.0, (3, 2)), "x")
 
-        def loss_fn():
+        def forward():
             y, cache = dense_forward(W, a, x.value, activation)
-            x.grad += dense_backward(cache, y)
-            return 0.5 * float((y ** 2).sum())
+            return 0.5 * float((y ** 2).sum()), (cache, y)
 
-        worst = max(worst, gradient_check(loss_fn, [W, a, x]))
+        def backward(state):
+            x.grad += dense_backward(*state)
+
+        worst = max(worst, gradient_check(forward, backward, [W, a, x]))
     return worst
 
 
 def check_lstm_cell(seed: int = 0) -> float:
-    from .nn import LstmCellParams, lstm_cell_backward, lstm_cell_forward
-
     rng = np.random.default_rng(seed)
     cell = LstmCellParams(3, 2, rng, np.float64, "cell")
     x = Parameter(rng.normal(0, 1.0, (3, 2)), "x")
     h0 = Parameter(rng.normal(0, 0.5, (2, 2)), "h0")
     c0 = Parameter(rng.normal(0, 0.5, (2, 2)), "c0")
 
-    def loss_fn():
+    def forward():
         h, c, cache = lstm_cell_forward(cell, x.value, h0.value, c0.value)
-        dx, dh0, dc0 = lstm_cell_backward(cell, cache, h, c)
-        x.grad += dx
-        h0.grad += dh0
-        c0.grad += dc0
-        return 0.5 * float((h ** 2).sum() + (c ** 2).sum())
+        return 0.5 * float((h ** 2).sum() + (c ** 2).sum()), (cache, h, c)
 
-    return gradient_check(loss_fn, cell.parameters() + [x, h0, c0])
+    def backward(state):
+        for p, grad in zip((x, h0, c0), lstm_cell_backward(cell, *state)):
+            p.grad += grad
+
+    return gradient_check(forward, backward, cell.parameters() + [x, h0, c0])
 
 
 def check_blstm(seed: int = 0) -> float:
-    from .nn import LstmCellParams, blstm_layer_backward, blstm_layer_forward
-
     rng = np.random.default_rng(seed)
     fwd = LstmCellParams(3, 2, rng, np.float64, "fwd")
     bwd = LstmCellParams(3, 2, rng, np.float64, "bwd")
     xs = [Parameter(rng.normal(0, 1.0, (3, 2)), f"x{t}") for t in range(3)]
 
-    def loss_fn():
+    def forward():
         hs, cs, cache = blstm_layer_forward(fwd, bwd, [x.value for x in xs])
-        dxs = blstm_layer_backward(fwd, bwd, cache, hs, cs)
-        for x, dx in zip(xs, dxs):
-            x.grad += dx
-        return 0.5 * sum(float((h ** 2).sum() + (c ** 2).sum()) for h, c in zip(hs, cs))
+        loss = 0.5 * sum(float((h ** 2).sum() + (c ** 2).sum()) for h, c in zip(hs, cs))
+        return loss, (cache, hs, cs)
 
-    return gradient_check(loss_fn, fwd.parameters() + bwd.parameters() + xs)
+    def backward(state):
+        for x, dx in zip(xs, blstm_layer_backward(fwd, bwd, *state)):
+            x.grad += dx
+
+    return gradient_check(forward, backward, fwd.parameters() + bwd.parameters() + xs)
 
 
 def check_softmax(seed: int = 0) -> float:
-    from .nn import softmax_cross_entropy
-
     rng = np.random.default_rng(seed)
     logits = Parameter(rng.normal(0, 1.0, (3, 2)), "logits")
     targets = np.array([2, 0])
 
-    def loss_fn():
-        loss, dlogits = softmax_cross_entropy(logits.value, targets)
+    def backward(dlogits):
         logits.grad += dlogits
-        return loss
 
-    return gradient_check(loss_fn, [logits])
+    return gradient_check(lambda: softmax_cross_entropy(logits.value, targets), backward,
+                          [logits])
 
 
 def check_full_graph(seed: int = 0) -> float:
@@ -158,16 +155,19 @@ def check_full_graph(seed: int = 0) -> float:
     targets = np.array([[4, 5, 6, 3]], dtype=np.int64)  # ends with EOS (id 3)
     half = config.bits // 2
 
-    def loss_fn():
+    def forward():
         xs, ids_full = model._embed_steps(ids)
         h_star, c_star, enc_cache = model._encoder_forward(xs)
         obs = np.concatenate([h_star, c_star], axis=0)
         loss, _, dec_cache = model.decode_teacher_forced(obs, targets, tf_prob=1.0)
+        return loss, (enc_cache, dec_cache, ids_full)
+
+    def backward(state):
+        enc_cache, dec_cache, ids_full = state
         d_obs = model.decode_backward(dec_cache)
         model._encoder_backward(enc_cache, d_obs[:half], d_obs[half:], ids_full)
-        return loss
 
-    return gradient_check(loss_fn, model.parameters())
+    return gradient_check(forward, backward, model.parameters())
 
 
 def run_verification_suite(seed: int = 0) -> dict[str, float]:

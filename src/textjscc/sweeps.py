@@ -57,6 +57,8 @@ class SweepSpec:
             raise ConfigError("axis values must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.lz_batch < 1:
+            raise ConfigError(f"lz_batch must be >= 1, got {self.lz_batch}")
         unknown = set(self.systems) - set(SYSTEMS)
         if unknown:
             raise ConfigError(f"unknown systems: {sorted(unknown)}")

@@ -147,6 +147,60 @@ SMALL_MODEL = [
 ]
 
 
+class TestRangeTable:
+    """An out-of-range numeric setting is a config error before any work
+    starts; the nearest valid setting still runs."""
+
+    COMMANDS = {
+        "prepare": ["prepare"],
+        "train": ["train", "--set", "train.epochs=1"],
+        "sweep": ["sweep", "--set", "sweep.values=[200]", "--set", "sweep.systems=[fixed5]",
+                  "--set", "sweep.trials=1"],
+    }
+    OUTPUTS = {"prepare": "vocab.txt", "train": "model.tjscc",
+               "sweep": "sweep_bits_per_sentence.json"}
+    CASES = [  # key, out of range, valid neighbour, a command that reads the key
+        ("seed", -1, 0, "train"),
+        ("corpus.vocab_size", 4, 5, "prepare"),
+        ("corpus.max_unk_frac", 1.5, 1, "prepare"),
+        ("model.embed_dim", 0, 1, "train"),
+        ("model.encoder_stacks", 0, 1, "train"),
+        ("model.encoder_hidden", 0, 1, "train"),
+        ("model.decoder_stacks", 0, 1, "train"),
+        ("model.decoder_hidden", 0, 1, "train"),
+        ("model.beam_width", 0, 1, "train"),
+        ("model.max_decode_len", 0, 1, "train"),
+        ("train.batch_size", 0, 1, "train"),
+        ("train.epochs", -1, 0, "train"),
+        ("train.lr", 0, 0.0001, "train"),
+        ("train.clip", -1, 0, "train"),
+        ("train.tf_min", -0.1, 0, "train"),
+        ("train.tf_min", 1.5, 1, "train"),
+        ("train.checkpoint_every", 0, 1, "train"),
+        ("train.wer_sample", -1, 0, "train"),
+        ("channel.erasure_prob", -0.1, 0.0, "sweep"),
+        ("channel.erasure_prob", 1.0, 0.9, "sweep"),
+        ("sweep.trials", 0, 1, "sweep"),
+    ]
+
+    @pytest.mark.parametrize("key, bad, good, command", CASES)
+    def test_out_of_range_exits_2(self, workdir, capsys, key, bad, good, command):
+        tmp, out, base = workdir
+        code = run(self.COMMANDS[command] + SMALL_MODEL + base + ["--set", f"{key}={bad}"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {key} "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, bad, good, command", CASES)
+    def test_valid_neighbour_runs(self, workdir, key, bad, good, command):
+        tmp, out, base = workdir
+        neighbour = ["--set", f"{key}={good}"]
+        assert run(["prepare"] + base + neighbour) == 0
+        assert run(self.COMMANDS[command] + SMALL_MODEL + base + neighbour) == 0
+        assert (out / self.OUTPUTS[command]).exists()
+
+
 class TestTrain:
     def test_zero_epochs_checkpoint_is_initialization(self, workdir):
         tmp, out, base = workdir

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from textjscc.errors import EmptySequence, ShapeError
+from textjscc.errors import EmptySequence, NumericalError, ShapeError
 from textjscc.gradcheck import (
     check_blstm,
     check_dense,
@@ -345,17 +345,63 @@ class TestOptimizers:
 
 
 class TestGradientCheckHarness:
+    """gradient_check(forward, backward, params) on the quadratic loss
+    0.5 * sum(scale * p**2), whose gradient is scale * p."""
+
+    @staticmethod
+    def quadratic(params, scale=1.0, grad_scale=1.0):
+        calls = {"forward": 0, "backward": 0}
+
+        def forward():
+            calls["forward"] += 1
+            return 0.5 * sum(float((scale * p.value ** 2).sum()) for p in params), calls
+
+        def backward(cache):
+            assert cache is calls
+            calls["backward"] += 1
+            for p in params:
+                p.grad += grad_scale * scale * p.value
+        return forward, backward, calls
+
     def test_constant_loss(self):
         p = param([[1.0, 2.0]])
-
-        def loss_fn():
-            return 3.0
-
-        assert gradient_check(loss_fn, [p]) == 0.0
+        assert gradient_check(lambda: (3.0, None), lambda cache: None, [p]) == 0.0
 
     def test_requires_float64(self):
-        from textjscc.errors import NumericalError
-
         p = Parameter(np.zeros((1, 1), dtype=np.float32), "p")
         with pytest.raises(NumericalError):
-            gradient_check(lambda: 0.0, [p])
+            gradient_check(lambda: (0.0, None), lambda cache: None, [p])
+
+    def test_backward_once_and_forward_per_probe(self):
+        params = [param([[1.0, -2.0, 0.5], [0.3, 0.0, 4.0]]), param([0.7, -1.1, 2.0, 0.2])]
+        forward, backward, calls = self.quadratic(params, scale=3.0)
+        assert gradient_check(forward, backward, params) < 1e-4
+        assert calls == {"forward": 1 + 2 * 10, "backward": 1}
+        assert all(np.all(p.grad == 0) for p in params)
+
+    def test_wrong_backward_fails(self):
+        params = [param([[1.0, -2.0], [0.5, 3.0]])]
+        forward, backward, _ = self.quadratic(params, grad_scale=2.0)
+        # |2g - g| / (|2g| + |g|) = 1/3 at every entry
+        assert gradient_check(forward, backward, params) > 0.3
+
+    def test_non_finite_loss_raises_before_backward(self):
+        p = param([[1.0, 2.0]])
+        backward_calls = []
+        with pytest.raises(NumericalError, match="non-finite"):
+            gradient_check(lambda: (math.nan, None), backward_calls.append, [p])
+        assert backward_calls == []
+
+    def test_non_finite_probe_raises_and_restores_the_entry(self):
+        p = param([[0.1, 0.2], [0.3, 0.4]])
+        before = p.value.copy()
+        forward, backward, calls = self.quadratic([p])
+
+        def forward_until_probed():
+            loss, cache = forward()
+            return (loss if calls["forward"] == 1 else math.inf), cache
+        with pytest.raises(NumericalError, match="non-finite"):
+            gradient_check(forward_until_probed, backward, [p])
+        assert calls == {"forward": 2, "backward": 1}
+        assert p.value.tobytes() == before.tobytes()
+        assert np.all(p.grad == 0)

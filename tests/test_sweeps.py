@@ -167,6 +167,12 @@ class TestRunSweep:
             SweepSpec(axis="erasure_rate", values=[0.1], systems=["morse"],
                       trials=1, seed=0)
 
+    @pytest.mark.parametrize("lz_batch", [0, -1])
+    def test_lz_batch_below_one_is_config_error(self, lz_batch):
+        with pytest.raises(ConfigError, match="lz_batch"):
+            SweepSpec(axis="bits_per_sentence", values=[200], systems=["gzip-batch"],
+                      trials=1, seed=0, lz_batch=lz_batch)
+
 
 class TestEmitResults:
     def _table(self):
