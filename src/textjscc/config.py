@@ -76,6 +76,8 @@ _ACCEPTS = {
 RANGES = {
     "seed": "[0, inf)",
     "corpus.vocab_size": "[5, inf)",  # the four special tokens and one word
+    "corpus.min_len": "[1, inf)",
+    "corpus.max_len": "[1, inf)",
     "corpus.max_unk_frac": "[0, 1]",
     "model.embed_dim": "[1, inf)",
     "model.encoder_stacks": "[1, inf)",
@@ -88,6 +90,8 @@ RANGES = {
     "train.epochs": "[0, inf)",
     "train.lr": "(0, inf)",
     "train.clip": "[0, inf)",  # 0 turns clipping off
+    "train.tf_start_epochs": "[0, inf)",
+    "train.tf_decay_epochs": "[0, inf)",  # 0 drops straight to tf_min
     "train.tf_min": "[0, 1]",
     "train.checkpoint_every": "[1, inf)",
     "train.wer_sample": "[0, inf)",  # 0 turns the WER estimate off
@@ -124,6 +128,9 @@ class RunConfig:
         for key, interval in RANGES.items():
             if not _within(v[key], interval):
                 raise ConfigError(f"{key} must lie in {interval}, got {v[key]!r}")
+        if v["corpus.min_len"] > v["corpus.max_len"]:
+            raise ConfigError(f"corpus.min_len must not exceed corpus.max_len, got "
+                              f"{v['corpus.min_len']} > {v['corpus.max_len']}")
         if v["model.bits"] % 2 != 0 or v["model.bits"] < 2:
             raise ConfigError(f"model.bits must be even and >= 2, got {v['model.bits']}")
         if v["baseline.fec_mode"] not in ("idealized", "concrete"):
@@ -177,6 +184,17 @@ class RunConfig:
         )
 
 
+def _as_number(key: str, value):
+    """PyYAML reads exponent notation without a dot (1e-9) as a string; a key
+    that takes a float gets the number, and the range table judges it."""
+    if isinstance(DEFAULTS[key], float) and isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return value
+
+
 def load_config(path: str | None = None, overrides: list[str] | None = None,
                 seed: int | None = None, out: str | None = None) -> RunConfig:
     """Merge defaults, the config file, --set overrides, and flag overrides."""
@@ -196,7 +214,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         for key, val in doc.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            values[key] = val
+            values[key] = _as_number(key, val)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -205,7 +223,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} in --set")
         try:
-            values[key] = yaml.safe_load(raw)
+            values[key] = _as_number(key, yaml.safe_load(raw))
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse --set value {raw!r}: {exc}") from exc
     if seed is not None:

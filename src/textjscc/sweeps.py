@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +54,13 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ConfigError("axis values must be nonempty")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.values):
+            raise ConfigError(f"axis values must be numbers, got {self.values!r}")
+        if self.axis == "erasure_rate":
+            if not all(0 <= v < 1 for v in self.values):
+                raise ConfigError(f"erasure_rate values must lie in [0, 1), got {self.values!r}")
+        elif not all(isinstance(v, numbers.Integral) and v >= 1 for v in self.values):
+            raise ConfigError(f"{self.axis} values must be integers >= 1, got {self.values!r}")
         if any(b >= a for a, b in zip(self.values[1:], self.values)):
             raise ConfigError("axis values must be strictly increasing")
         if self.trials < 1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelConfig, erase
 from .corpus import BatchPlan, EOS_ID, TokenizedSentence
-from .errors import NumericalError
+from .errors import EmptyCorpus, NumericalError
 from .metrics import wer
 from .model import JsccModel
 from .optim import AdamState, adam_step
@@ -109,6 +109,8 @@ class Trainer:
     def run(self, sentences: list[TokenizedSentence], plan: BatchPlan, epochs: int,
             on_epoch=None) -> list[EpochLog]:
         """Train for `epochs` further epochs; returns one log row per epoch."""
+        if epochs > 0 and not plan.batches:
+            raise EmptyCorpus("no training sentences to train on")
         logs: list[EpochLog] = []
         s = self.settings
         for _ in range(epochs):

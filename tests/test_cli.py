@@ -6,7 +6,7 @@ import pytest
 
 from textjscc import cli
 from textjscc.checkpoint import load_model, save_checkpoint
-from textjscc.config import DEFAULTS
+from textjscc.config import DEFAULTS, load_config
 from textjscc.corpus import SPECIALS, Vocabulary, tokenize
 from textjscc.model import JsccConfig, JsccModel
 
@@ -123,6 +123,26 @@ class TestFlags:
         vocab = Vocabulary.load(str(out / "vocab.txt"))
         assert len(vocab) > 10
 
+    @pytest.mark.parametrize("form", ["set", "file"])
+    def test_exponent_float_is_a_number(self, workdir, form):
+        tmp, out, base = workdir
+        if form == "set":
+            args = ["--set", "train.lr=1e-9"]
+            cfg = load_config(overrides=["train.lr=1e-9"])
+        else:
+            (tmp / "run.yaml").write_text("train.lr: 1e-9\n")
+            args = ["--config", str(tmp / "run.yaml")]
+            cfg = load_config(str(tmp / "run.yaml"))
+        assert cfg["train.lr"] == 1e-9
+        assert run(["prepare"] + base + args) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9"])
+    def test_non_rate_exits_2(self, workdir, capsys, value):
+        tmp, out, base = workdir
+        assert run(["prepare"] + base + ["--set", f"train.lr={value}"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: train.lr "), err
+
     def test_help_on_subcommands(self, capsys):
         for name in ("prepare", "train", "transmit", "sweep", "embed", "gradcheck"):
             assert run([name, "--help"]) == 0
@@ -163,6 +183,8 @@ class TestRangeTable:
         ("seed", -1, 0, "train"),
         ("corpus.vocab_size", 4, 5, "prepare"),
         ("corpus.max_unk_frac", 1.5, 1, "prepare"),
+        ("corpus.min_len", 0, 1, "prepare"),
+        ("corpus.max_len", 0, 4, "prepare"),  # 4 is the default min_len
         ("model.embed_dim", 0, 1, "train"),
         ("model.encoder_stacks", 0, 1, "train"),
         ("model.encoder_hidden", 0, 1, "train"),
@@ -174,6 +196,8 @@ class TestRangeTable:
         ("train.epochs", -1, 0, "train"),
         ("train.lr", 0, 0.0001, "train"),
         ("train.clip", -1, 0, "train"),
+        ("train.tf_start_epochs", -1, 0, "train"),
+        ("train.tf_decay_epochs", -1, 0, "train"),
         ("train.tf_min", -0.1, 0, "train"),
         ("train.tf_min", 1.5, 1, "train"),
         ("train.checkpoint_every", 0, 1, "train"),
@@ -200,8 +224,51 @@ class TestRangeTable:
         assert run(self.COMMANDS[command] + SMALL_MODEL + base + neighbour) == 0
         assert (out / self.OUTPUTS[command]).exists()
 
+    def test_min_len_above_max_len_exits_2(self, workdir, capsys):
+        tmp, out, base = workdir
+        bounds = ["--set", "corpus.min_len=20", "--set", "corpus.max_len=3"]
+        assert run(["prepare"] + base + bounds) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("config error: corpus.min_len must not exceed"), err
+        assert not out.exists()
+
+    def test_equal_length_bounds_run(self, workdir, capsys):
+        tmp, out, base = workdir
+        bounds = ["--set", "corpus.min_len=7", "--set", "corpus.max_len=7"]
+        assert run(["prepare"] + base + bounds) == 0
+        kept = sum(len(line.split()) == 7 for line in CORPUS)
+        assert f"train sentences kept: {kept} of {len(CORPUS)}" in capsys.readouterr().out
+
+    SWEEP_VALUES = [("bits_per_sentence", "[a, b]"), ("bits_per_sentence", "[[1], [2]]"),
+                    ("bits_per_sentence", "[200, 300.7]"), ("bits_per_sentence", "[0]"),
+                    ("sentence_length", "[true]"), ("erasure_rate", "[0.1, 1.0]")]
+
+    @pytest.mark.parametrize("axis, values", SWEEP_VALUES)
+    def test_bad_sweep_values_exit_2(self, workdir, capsys, axis, values):
+        tmp, out, base = workdir
+        assert run(["prepare"] + base) == 0
+        capsys.readouterr()
+        code = run(self.COMMANDS["sweep"] + base + ["--set", f"sweep.axis={axis}",
+                                                    "--set", f"sweep.values={values}"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert "values must " in err
+
 
 class TestTrain:
+    def test_empty_training_set_exits_3(self, workdir, capsys):
+        tmp, out, base = workdir
+        assert run(["prepare"] + base + ["--set", "corpus.min_len=20"]) == 0
+        assert f"train sentences kept: 0 of {len(CORPUS)}" in capsys.readouterr().out
+        code = run(["train", "--set", "train.epochs=1"] + SMALL_MODEL + base
+                   + ["--set", "corpus.min_len=20"])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
+
     def test_zero_epochs_checkpoint_is_initialization(self, workdir):
         tmp, out, base = workdir
         run(["prepare"] + base)

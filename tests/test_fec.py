@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textjscc import fec
 from textjscc.channel import ChannelConfig
@@ -15,7 +16,6 @@ from textjscc.fec import (
     RsCode,
     gf_inv,
     gf_mul,
-    gf_mul_array,
     plan_budget,
     rs_decode_erasures,
     rs_code,
@@ -78,6 +78,15 @@ def reference_block(kb: int, q: float):
     return None, None
 
 
+EXP_LIST, LOG_LIST = GF_EXP.tolist(), GF_LOG.tolist()
+
+
+def list_gf_mul(a: int, b: int) -> int:
+    """The scalar multiply on Python lists that the reference decoder was
+    written with; a numpy scalar lookup per product is several times slower."""
+    return 0 if a == 0 or b == 0 else EXP_LIST[LOG_LIST[a] + LOG_LIST[b]]
+
+
 def reference_decode_erasures(received, erasures, code):
     """The list-based Gauss-Jordan erasure decoder the numpy one replaced."""
     positions = sorted(set(erasures))
@@ -90,25 +99,25 @@ def reference_decode_erasures(received, erasures, code):
     def poly_eval(poly, x):
         y = 0
         for c in poly:
-            y = gf_mul(y, x) ^ c
+            y = list_gf_mul(y, x) ^ c
         return y
 
     def power(a, n):
-        return GF_EXP[(GF_LOG[a] * n) % 255]
+        return EXP_LIST[(LOG_LIST[a] * n) % 255]
 
     cw = [0 if i in set(positions) else received[i] for i in range(code.n)]
-    synd = [poly_eval(cw, GF_EXP[i]) for i in range(t)]
-    betas = [power(GF_EXP[1], code.n - 1 - p) for p in positions]
+    synd = [poly_eval(cw, EXP_LIST[i]) for i in range(t)]
+    betas = [power(EXP_LIST[1], code.n - 1 - p) for p in positions]
     mat = [[power(b, i) for b in betas] + [synd[i]] for i in range(t)]
     for col in range(t):
         pivot = next(r for r in range(col, t) if mat[r][col])
         mat[col], mat[pivot] = mat[pivot], mat[col]
         inv = gf_inv(mat[col][col])
-        mat[col] = [gf_mul(v, inv) for v in mat[col]]
+        mat[col] = [list_gf_mul(v, inv) for v in mat[col]]
         for r in range(t):
             if r != col and mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [v ^ gf_mul(factor, w) for v, w in zip(mat[r], mat[col])]
+                mat[r] = [v ^ list_gf_mul(factor, w) for v, w in zip(mat[r], mat[col])]
     for p, row in zip(positions, mat):
         cw[p] = row[-1]
     return cw[: code.k]
@@ -123,6 +132,13 @@ def slow_poly_remainder(dividend: list, divisor: list) -> list:
             for j in range(1, len(divisor)):
                 out[i + j] ^= slow_gf_mul(divisor[j], coef)
     return out[-(len(divisor) - 1):]
+
+
+# every block shape the concrete planner gives for one sentence (200, 400
+# bits) and for a batch of 8 or 32 sentences (3200, 12800 bits)
+PLAN_SHAPES = sorted({block for bits in (200, 400, 3200, 12800)
+                      for p_d in (0.01, 0.05, 0.1, 0.2)
+                      for block in plan_budget(bits, p_d, "concrete").blocks})
 
 
 class TestGfTables:
@@ -144,11 +160,16 @@ class TestGfTables:
         with pytest.raises(DomainError):
             gf_inv(0)
 
+    def test_multiplication_matches_carryless_on_all_pairs(self):
+        for a in range(256):
+            for b in range(256):
+                assert gf_mul(a, b) == slow_gf_mul(a, b), (a, b)
+
     def test_vector_multiply_matches_scalar_on_all_pairs(self):
         a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
         expected = [[gf_mul(x, y) for y in range(256)] for x in range(256)]
-        assert gf_mul_array(a, b).tolist() == expected
-        assert gf_mul_array(a.astype(np.uint8), b.astype(np.uint8)).tolist() == expected
+        assert gf_mul(a, b).tolist() == expected
+        assert gf_mul(a.astype(np.uint8), b.astype(np.uint8)).tolist() == expected
 
     def test_field_axioms_spot(self):
         rng = np.random.default_rng(1)
@@ -204,6 +225,26 @@ class TestRsEncode:
     def test_wrong_length(self):
         with pytest.raises(ShapeError):
             rs_encode([1, 2], RsCode(8, 4))
+
+    @pytest.mark.parametrize("n,k", PLAN_SHAPES)
+    def test_parity_rows_are_remainders_of_powers(self, n, k):
+        """Row i of the parity matrix is x^(n-1-i) mod the generator."""
+        code = rs_code(n, k)
+        assert code.parity.shape == (k, n - k)
+        for i in range(k):
+            power = [1] + [0] * (n - 1 - i)
+            assert code.parity[i].tolist() == slow_poly_remainder(power, code.generator), i
+
+    @pytest.mark.parametrize("n,k", PLAN_SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_long_division_on_plan_shapes(self, n, k, data):
+        code = rs_code(n, k)
+        word = data.draw(st.lists(st.integers(0, 255), min_size=k, max_size=k))
+        cw = rs_encode(word, code)
+        assert cw[:k] == word
+        assert cw[k:] == slow_poly_remainder(word + [0] * (n - k), code.generator)
+        assert all(type(v) is int for v in cw)
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):

@@ -167,6 +167,32 @@ class TestRunSweep:
             SweepSpec(axis="erasure_rate", values=[0.1], systems=["morse"],
                       trials=1, seed=0)
 
+    @pytest.mark.parametrize("axis, values", [
+        ("bits_per_sentence", ["a", "b"]),
+        ("bits_per_sentence", [[1], [2]]),
+        ("bits_per_sentence", [200, 300.7]),
+        ("bits_per_sentence", [0, 200]),
+        ("bits_per_sentence", [True]),
+        ("sentence_length", [4.5]),
+        ("sentence_length", [0]),
+        ("erasure_rate", [0.1, 1.0]),
+        ("erasure_rate", [-0.1]),
+        ("erasure_rate", [float("nan")]),
+        ("erasure_rate", ["0.1"]),
+    ])
+    def test_bad_axis_values_are_config_errors(self, axis, values):
+        with pytest.raises(ConfigError, match="values must "):
+            SweepSpec(axis=axis, values=values, systems=["fixed5"], trials=1, seed=0)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("bits_per_sentence", [1, np.int64(200)]),
+        ("sentence_length", [4, 30]),
+        ("erasure_rate", [0, 0.5, np.float64(0.99)]),
+    ])
+    def test_typed_axis_values_accepted(self, axis, values):
+        assert SweepSpec(axis=axis, values=values, systems=["fixed5"], trials=1,
+                         seed=0).values == values
+
     @pytest.mark.parametrize("lz_batch", [0, -1])
     def test_lz_batch_below_one_is_config_error(self, lz_batch):
         with pytest.raises(ConfigError, match="lz_batch"):

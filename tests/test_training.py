@@ -7,7 +7,7 @@ import pytest
 from textjscc import nn, training
 from textjscc.checkpoint import load_model, read_checkpoint, restore_adam, save_checkpoint
 from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
-from textjscc.errors import IoError, NumericalError
+from textjscc.errors import EmptyCorpus, IoError, NumericalError
 from textjscc.gradcheck import run_verification_suite
 from textjscc.model import JsccConfig, JsccModel
 from textjscc.training import Trainer, TrainSettings, tf_schedule
@@ -82,6 +82,21 @@ class TestTrainer:
         assert [l.mean_loss for l in runs[0][0]] == [l.mean_loss for l in runs[1][0]]
         for a, b in zip(runs[0][1], runs[1][1]):
             assert np.array_equal(a, b)
+
+
+class TestEmptyTrainingSet:
+    def test_run_without_batches_is_empty_corpus(self):
+        vocab, _ = toy_corpus()
+        trainer = Trainer(small_model(len(vocab)), TrainSettings(seed=3))
+        plan = batch_by_length([], batch_size=4)
+        with pytest.raises(EmptyCorpus):
+            trainer.run([], plan, epochs=1)
+        assert trainer.epoch == 0
+
+    def test_zero_epochs_need_no_batches(self):
+        vocab, _ = toy_corpus()
+        trainer = Trainer(small_model(len(vocab)), TrainSettings(seed=3))
+        assert trainer.run([], batch_by_length([], batch_size=4), epochs=0) == []
 
 
 class TestTrainWerSample:
