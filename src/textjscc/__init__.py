@@ -8,7 +8,7 @@ evaluation harness.
 
 from .analysis import classical_mds, hamming_matrix
 from .budget import BudgetedEncoding, encode_batch_with_budget, encode_with_budget
-from .channel import ERASED, ChannelConfig, erase, erase_bitstream
+from .channel import ERASED, erase, erase_bitstream, stream
 from .corpus import (
     CharFrequencyTable,
     TokenizedSentence,
@@ -38,7 +38,7 @@ from .training import EpochLog, Trainer, TrainSettings, tf_schedule
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig", "ERASED", "erase", "erase_bitstream",
+    "ERASED", "erase", "erase_bitstream", "stream",
     "Vocabulary", "TokenizedSentence", "CharFrequencyTable",
     "build_vocabulary", "filter_sentences", "tokenize", "detokenize",
     "batch_by_length", "char_frequencies",

@@ -1,12 +1,14 @@
 """Bit-erasure channel: each position is independently zeroed with probability p_d.
 
-Survivors keep magnitude 1 (no dropout-style 1/(1-p) rescaling); the receiver
-sees symbols in {-1, 0, +1} with 0 marking an erasure.
+The channel is fully described by p_d.  Every system crosses it at the p_d
+it was planned for: a baseline's FecPlan carries the p_d that sized its
+parity and is erased at that same p_d.  Survivors keep magnitude 1 (no
+dropout-style 1/(1-p) rescaling); the receiver sees symbols in {-1, 0, +1}
+with 0 marking an erasure.  Sweeps, training epochs and `transmit` draw
+from `stream`, keyed by the run seed and the draw's place in the run.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,34 +18,32 @@ from .errors import DomainError
 ERASED = -1
 
 
-@dataclass
-class ChannelConfig:
-    p_d: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_d <= 1.0:
-            raise DomainError(f"erasure probability {self.p_d} outside [0, 1]")
-
-    def stream(self, index: int) -> np.random.Generator:
-        """Independent, reproducible RNG stream for transmission `index`."""
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent, reproducible RNG stream for `key` under `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def erase(codeword: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+def _check(p_d: float) -> None:
+    if not 0.0 <= p_d <= 1.0:
+        raise DomainError(f"erasure probability {p_d} outside [0, 1]")
+
+
+def erase(codeword: np.ndarray, p_d: float, rng: np.random.Generator) -> np.ndarray:
     """Erase each {-1,+1} entry to 0 independently with probability p_d.
 
     Works elementwise on any shape, so a whole (bits, batch) matrix can be
     transmitted in one call.
     """
+    _check(p_d)
     cw = np.asarray(codeword)
-    mask = rng.random(cw.shape) >= cfg.p_d
+    mask = rng.random(cw.shape) >= p_d
     return (cw * mask).astype(np.int8)
 
 
-def erase_bitstream(bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+def erase_bitstream(bits: np.ndarray, p_d: float, rng: np.random.Generator) -> np.ndarray:
     """Same channel over a {0,1} alphabet; erased positions become ERASED (-1)."""
+    _check(p_d)
     b = np.asarray(bits, dtype=np.int8)
     out = b.copy()
-    out[rng.random(b.shape) < cfg.p_d] = ERASED
+    out[rng.random(b.shape) < p_d] = ERASED
     return out

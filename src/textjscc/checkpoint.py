@@ -114,9 +114,7 @@ def read_checkpoint(path: str) -> tuple[JsccConfig, dict, dict[str, np.ndarray]]
     return config, extra, blobs
 
 
-def load_model(path: str) -> tuple[JsccModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
-    config, extra, blobs = read_checkpoint(path)
+def _build_model(path: str, config: JsccConfig, blobs: dict[str, np.ndarray]) -> JsccModel:
     model = JsccModel(config)
     for p in model.parameters():
         if p.name not in blobs:
@@ -125,21 +123,30 @@ def load_model(path: str) -> tuple[JsccModel, dict]:
             raise ShapeError(
                 f"blob {p.name!r} has shape {blobs[p.name].shape}, expected {p.value.shape}")
         p.value[...] = blobs[p.name]
-    extra["_blobs"] = blobs
-    return model, extra
+    return model
 
 
-def restore_adam(model: JsccModel, extra: dict, lr: float, clip: float) -> AdamState | None:
-    """Rebuild the optimizer from blobs captured by load_model, if present."""
-    if not extra.get("has_adam"):
-        return None
-    blobs = extra["_blobs"]
-    state = AdamState(model.parameters(), lr=lr, clip=clip)
-    state.t = int(extra.get("adam_t", 0))
-    for i, p in enumerate(state.params):
-        for kind, moments in (("m", state.m), ("v", state.v)):
-            blob = blobs.get(f"adam.{kind}.{p.name}")
-            if blob is None or blob.shape != p.value.shape:
-                raise IoError(f"checkpoint lacks optimizer state adam.{kind}.{p.name}")
-            moments[i][...] = blob
-    return state
+def load_model(path: str) -> tuple[JsccModel, dict]:
+    """Rebuild a model from a checkpoint; returns (model, header metadata)."""
+    config, extra, blobs = read_checkpoint(path)
+    return _build_model(path, config, blobs), extra
+
+
+def load_for_resume(path: str, lr: float,
+                    clip: float) -> tuple[JsccModel, AdamState | None, int]:
+    """Rebuild what a resumed run continues from: the model, its optimizer
+    state (None if the checkpoint saved none) and the last finished epoch.
+    The blobs are dropped on return, so the run holds one copy of each."""
+    config, extra, blobs = read_checkpoint(path)
+    model = _build_model(path, config, blobs)
+    state = None
+    if extra["has_adam"]:
+        state = AdamState(model.parameters(), lr=lr, clip=clip)
+        state.t = int(extra.get("adam_t", 0))
+        for i, p in enumerate(state.params):
+            for kind, moments in (("m", state.m), ("v", state.v)):
+                blob = blobs.get(f"adam.{kind}.{p.name}")
+                if blob is None or blob.shape != p.value.shape:
+                    raise IoError(f"checkpoint lacks optimizer state adam.{kind}.{p.name}")
+                moments[i][...] = blob
+    return model, state, int(extra.get("epoch", 0))

@@ -6,6 +6,8 @@ output files are written atomically through fileio.write_atomic, and all
 randomness flows from the single config seed.  `transmit` and `sweep` send
 the baselines through the same dispatch (sweeps.encode_group and
 sweeps.transmit_group), and the system names come from sweeps.SYSTEMS.
+channel.erasure_prob is the channel's p_d: the deep codec is erased at it,
+and a baseline's FecPlan, planned for it, carries it across the channel.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error.
 Set TEXTJSCC_LOG to error, info, or debug to control verbosity.
@@ -21,8 +23,8 @@ import sys
 
 from . import corpus as corpus_mod
 from .analysis import classical_mds, hamming_matrix
-from .channel import erase
-from .checkpoint import load_model, restore_adam, save_checkpoint
+from .channel import erase, stream
+from .checkpoint import load_for_resume, load_model, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import (
     CharFrequencyTable,
@@ -123,9 +125,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
     settings = cfg.train_settings()
 
     if args.resume:
-        model, extra = load_model(_require_file(args.resume, "checkpoint"))
-        adam = restore_adam(model, extra, settings.lr, settings.clip)
-        trainer = Trainer(model, settings, adam, start_epoch=int(extra.get("epoch", 0)))
+        model, adam, epoch = load_for_resume(_require_file(args.resume, "checkpoint"),
+                                             settings.lr, settings.clip)
+        trainer = Trainer(model, settings, adam, start_epoch=epoch)
         log.info("resumed from %s at epoch %d", args.resume, trainer.epoch)
     else:
         model = JsccModel(cfg.jscc_config(len(vocab)), seed=cfg["seed"])
@@ -170,13 +172,13 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
     sent = tokenize(args.sentence, vocab)
     if len(sent) == 0:
         raise ConfigError("input sentence is empty")
-    channel_cfg = cfg.channel_config()
+    p_d = cfg["channel.erasure_prob"]
 
     if args.system == "deep":
         model = _load_model_for(args.checkpoint or _out_path(cfg, "model.tjscc"),
                                 "checkpoint", vocab)
         codeword = model.encode(sent.ids, "deterministic")
-        obs = erase(codeword, channel_cfg, channel_cfg.stream(0))
+        obs = erase(codeword, p_d, stream(cfg["seed"], 0))
         hyp = model.beam_search_decode(obs, cfg["model.beam_width"])
         print(f"codeword bits: {codeword.size}")
         print(f"erasures injected: {int((obs == 0).sum())}")
@@ -184,7 +186,7 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
         print(f"wer: {wer(sent.ids, hyp):.4f}")
         return 0
 
-    plan = plan_budget(cfg["model.bits"], channel_cfg.p_d, cfg["baseline.fec_mode"])
+    plan = plan_budget(cfg["model.bits"], p_d, cfg["baseline.fec_mode"])
     words = sent.words()
     codebook = _codebook(cfg) if args.system == "huffman" else None
     enc = encode_group(args.system, codebook, [words], plan.source_bits)
@@ -192,8 +194,7 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
           f"parity reserve {plan.parity_bits})")
     print(f"words dropped to fit: {enc.words_dropped}")
     try:
-        (hyp,) = transmit_group(args.system, codebook, enc.bits, plan, channel_cfg,
-                                channel_cfg.stream(0))
+        (hyp,) = transmit_group(args.system, codebook, enc.bits, plan, stream(cfg["seed"], 0))
     except DecodeFailure as exc:  # a channel outcome: the frame is lost
         print(f"decode failure: {exc}")
         hyp = []
@@ -210,10 +211,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     sentences = [tokenize(line, vocab) for line in corpus_mod.read_lines(test_path)]
 
     spec = cfg.sweep_spec()
-    models = {}
+    models, paths = {}, {}
     for path in cfg["sweep.checkpoints"]:
         model = _load_model_for(path, "sweep checkpoint", vocab)
-        models[model.config.bits] = model
+        bits = model.config.bits
+        if bits in models:
+            raise ConfigError(f"sweep checkpoints {paths[bits]} and {path} both have "
+                              f"a {bits}-bit budget")
+        models[bits], paths[bits] = model, path
     codebook = _codebook(cfg) if "huffman" in spec.systems else None
     table = run_sweep(spec, sentences, models=models, codebook=codebook)
     csv_path = _out_path(cfg, f"sweep_{spec.axis}.csv")

@@ -18,7 +18,6 @@ import os
 
 import yaml
 
-from .channel import ChannelConfig
 from .errors import ConfigError
 from .model import JsccConfig
 from .sweeps import SweepSpec
@@ -167,10 +166,6 @@ class RunConfig:
             tf_min=v["train.tf_min"], wer_sample=v["train.wer_sample"],
             seed=v["seed"],
         )
-
-    def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(p_d=self.values["channel.erasure_prob"],
-                             seed=self.values["seed"])
 
     def sweep_spec(self) -> SweepSpec:
         v = self.values

@@ -1,5 +1,8 @@
 """Reed-Solomon erasure coding over GF(256), plus idealized parity accounting.
 
+A FecPlan carries the channel's erasure probability p_d: plan_budget sizes
+the parity for it, and transmit_baseline erases at that same p_d, so a
+baseline cannot be planned for one channel and sent over another.
 Idealized mode reserves ceil(l * p_d) parity bits out of the budget and then
 assumes the channel code compensates perfectly, which favors the separate
 source/channel baselines.  Concrete mode actually codes byte symbols and can
@@ -37,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ERASED, ChannelConfig, erase_bitstream
+from .channel import ERASED, erase_bitstream
 from .errors import DecodeFailure, DomainError, ShapeError
 
 PRIMITIVE_POLY = 0x11D
@@ -159,7 +162,8 @@ def rs_decode_erasures(received: Sequence[int], erasures: Sequence[int], code: R
 
 @dataclass
 class FecPlan:
-    """Split of the total bit budget into source bits and parity."""
+    """Split of the total bit budget into source bits and parity, for a
+    channel that erases each bit with probability p_d."""
 
     total_bits: int
     p_d: float
@@ -222,13 +226,9 @@ def _shortest_block_lengths(q: float) -> list[int]:
     return lengths
 
 
-def transmit_baseline(
-    sentence_bits: np.ndarray,
-    plan: FecPlan,
-    cfg: ChannelConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Carry source bits across the channel under the plan's FEC mode.
+def transmit_baseline(sentence_bits: np.ndarray, plan: FecPlan,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Carry source bits across the channel at plan.p_d under the plan's FEC mode.
 
     Idealized mode returns the source bits themselves (perfect compensation).
     Concrete mode RS-encodes byte symbols, erases bits, marks a symbol erased
@@ -256,7 +256,7 @@ def transmit_baseline(
         code = rs_code(n, k)
         codeword = rs_encode(block, code)
         tx_bits = np.unpackbits(np.array(codeword, dtype=np.uint8))
-        rx = erase_bitstream(tx_bits, cfg, rng).reshape(n, 8)
+        rx = erase_bitstream(tx_bits, plan.p_d, rng).reshape(n, 8)
         erased = (rx == ERASED).any(axis=1)
         # the decoder ignores the values it is told are erased
         symbols = np.packbits(rx.astype(np.uint8), axis=1)[:, 0]

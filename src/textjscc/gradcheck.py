@@ -159,7 +159,7 @@ def check_full_graph(seed: int = 0) -> float:
         xs, ids_full = model._embed_steps(ids)
         h_star, c_star, enc_cache = model._encoder_forward(xs)
         obs = np.concatenate([h_star, c_star], axis=0)
-        loss, _, dec_cache = model.decode_teacher_forced(obs, targets, tf_prob=1.0)
+        loss, dec_cache = model.decode_teacher_forced(obs, targets, tf_prob=1.0)
         return loss, (enc_cache, dec_cache, ids_full)
 
     def backward(state):

@@ -324,8 +324,8 @@ class JsccModel:
 
         targets is (B, T) and must end in EOS.  The first input is SOS; at
         step i+1 the input is the true word w_i with probability tf_prob,
-        otherwise the argmax prediction.  Returns (loss, per-step logits,
-        cache); loss is the cross-entropy summed over steps (mean over batch).
+        otherwise the argmax prediction.  Returns (loss, cache); loss is the
+        cross-entropy summed over steps (mean over batch).
         """
         if not 0.0 <= tf_prob <= 1.0:
             raise DomainError("tf_prob must lie in [0, 1]")
@@ -341,13 +341,12 @@ class JsccModel:
         states, init_caches = self.decoder_init(obs)
         input_ids = np.full(b, SOS_ID, dtype=np.int64)
         loss = 0.0
-        logits_steps, dlogits_steps, step_caches, inputs_used, tops = [], [], [], [], []
+        dlogits_steps, step_caches, inputs_used, tops = [], [], [], []
         for t in range(T):
             x = self.embed.value[input_ids].T
             logits, states, caches = self._decoder_step(x, states)
             step_loss, dlogits = softmax_cross_entropy(logits, targets[:, t])
             loss += step_loss
-            logits_steps.append(logits)
             dlogits_steps.append(dlogits)
             step_caches.append(caches)
             inputs_used.append(input_ids)
@@ -360,7 +359,7 @@ class JsccModel:
                     coin = rng.random(b) < tf_prob
                     input_ids = np.where(coin, targets[:, t], predicted)
         cache = (init_caches, step_caches, dlogits_steps, inputs_used, tops)
-        return loss, logits_steps, cache
+        return loss, cache
 
     def decode_backward(self, cache) -> np.ndarray:
         """Backward through the decoder; returns dLoss/dObservation."""

@@ -6,6 +6,8 @@ import numpy as np
 
 from .nn import Parameter
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def global_grad_norm(params: list[Parameter]) -> float:
     return float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
@@ -23,34 +25,31 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
 
 
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """The parameters, their first/second moment accumulators, the step
+    count, the learning rate and the gradient clip."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip: float = 5.0):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3, clip: float = 5.0):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps, self.clip = lr, beta1, beta2, eps, clip
+        self.lr, self.clip = lr, clip
         self.t = 0
         # np.zeros callocs: a large array's pages are zeroed at first write
         self.m = [np.zeros(p.shape, p.value.dtype) for p in self.params]
         self.v = [np.zeros(p.shape, p.value.dtype) for p in self.params]
 
 
-def adam_step(params: list[Parameter], state: AdamState) -> float:
-    """Standard Adam update with bias correction; gradients are then zeroed.
-    Returns the gradients' global norm before clipping."""
-    if params is not state.params and list(params) != state.params:
-        raise ValueError("parameter list does not match optimizer state")
+def adam_step(state: AdamState) -> float:
+    """Standard Adam update of state.params with bias correction; gradients
+    are then zeroed.  Returns the gradients' global norm before clipping."""
     norm = clip_global_norm(state.params, state.clip)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
+    bias1 = 1.0 - BETA1 ** state.t
+    bias2 = 1.0 - BETA2 ** state.t
     for p, m, v in zip(state.params, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * p.grad
-        v *= b2
-        v += (1.0 - b2) * p.grad ** 2
-        p.value -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * p.grad
+        v *= BETA2
+        v += (1.0 - BETA2) * p.grad ** 2
+        p.value -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
         p.zero_grad()
     return norm
 

@@ -3,10 +3,12 @@
 Systems under test: the trained deep codec and three separate
 source/channel-coding baselines (batched LZSS, character Huffman, fixed
 5-bit), all sharing the same erasure channel and per-sentence bit budget.
+The deep codec is erased at the cell's p_d; a baseline crosses the channel
+at the p_d its FecPlan carries, the one plan_budget sized its parity for.
 encode_group and transmit_group are the one place that says how a baseline
 encodes, spends its budget and decodes; run_sweep and the `transmit` command
 both go through them.  Results are deterministic functions of (spec, seed):
-every trial and every transmission draws from its own derived RNG stream.
+every trial and every transmission draws from its own channel.stream.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import BudgetedEncoding, encode_batch_with_budget, encode_with_budget
-from .channel import ChannelConfig, erase
+from .channel import erase, stream
 from .corpus import TokenizedSentence
 from .errors import ConfigError, DecodeFailure, DomainError
 from .fec import FecPlan, plan_budget, transmit_baseline
@@ -82,10 +84,6 @@ class SweepResult:
     seed: int
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
 def _trial_stats(trial_means: list[float]) -> tuple[float, float]:
     arr = np.asarray(trial_means, dtype=np.float64)
     mean = float(arr.mean())
@@ -95,14 +93,12 @@ def _trial_stats(trial_means: list[float]) -> tuple[float, float]:
 
 def _eval_deep(model: JsccModel, sents: Sequence[TokenizedSentence], p_d: float,
                spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
-    cfg = ChannelConfig(p_d=p_d, seed=0)
     codewords = model.encode_sentences(sents)
     trial_means = []
     for trial in range(spec.trials):
         wers = []
         for si, (sent, cw) in enumerate(zip(sents, codewords)):
-            rng = _rng(spec.seed, axis_idx, sys_idx, trial, si)
-            obs = erase(cw, cfg, rng)
+            obs = erase(cw, p_d, stream(spec.seed, axis_idx, sys_idx, trial, si))
             hyp = model.beam_search_decode(obs, spec.beam_width)
             wers.append(wer(sent.ids, hyp))
         trial_means.append(sum(wers) / len(wers))
@@ -132,11 +128,10 @@ def encode_group(system: str, codebook: HuffmanCodebook | None,
 
 
 def transmit_group(system: str, codebook: HuffmanCodebook | None, bits: np.ndarray,
-                   plan: FecPlan, cfg: ChannelConfig,
-                   rng: np.random.Generator) -> list[list[str]]:
-    """Carry an encoded group across the channel under `plan` and decode it
-    into one word list per sentence; DecodeFailure propagates."""
-    out_bits = transmit_baseline(bits, plan, cfg, rng)
+                   plan: FecPlan, rng: np.random.Generator) -> list[list[str]]:
+    """Carry an encoded group across the channel at plan.p_d under `plan` and
+    decode it into one word list per sentence; DecodeFailure propagates."""
+    out_bits = transmit_baseline(bits, plan, rng)
     if system == "gzip-batch":
         return [t.split() for t in lz_decompress(out_bits)]
     if system == "huffman":
@@ -152,7 +147,6 @@ def _eval_baseline(system: str, codebook: HuffmanCodebook | None,
     # a group is one transmission under a plan for its whole budget
     plans = {1: plan_budget(bits, p_d, spec.fec_mode)}
     encoded = [encode_group(system, codebook, refs, plans[1].source_bits) for refs in groups]
-    cfg = ChannelConfig(p_d=p_d, seed=0)
     trial_means = []
     for trial in range(spec.trials):
         wers = []
@@ -161,10 +155,9 @@ def _eval_baseline(system: str, codebook: HuffmanCodebook | None,
             if enc.fits:
                 if len(refs) not in plans:
                     plans[len(refs)] = plan_budget(bits * len(refs), p_d, spec.fec_mode)
-                rng = _rng(spec.seed, axis_idx, sys_idx, trial, gi)
+                rng = stream(spec.seed, axis_idx, sys_idx, trial, gi)
                 try:
-                    hyps = transmit_group(system, codebook, enc.bits, plans[len(refs)],
-                                          cfg, rng)
+                    hyps = transmit_group(system, codebook, enc.bits, plans[len(refs)], rng)
                 except DecodeFailure:
                     pass
             if len(hyps) != len(refs):

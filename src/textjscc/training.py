@@ -1,6 +1,6 @@
 """End-to-end training loop with scheduled sampling.
 
-All randomness in epoch e flows from a stream derived from (seed, e), so a
+All randomness in epoch e flows from channel.stream(seed, e), so a
 run resumed from a checkpoint continues bit-identically to the unbroken run
 (provided the checkpoint carried the optimizer moments).
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, erase
+from .channel import erase, stream
 from .corpus import BatchPlan, EOS_ID, TokenizedSentence
 from .errors import EmptyCorpus, NumericalError
 from .metrics import wer
@@ -67,18 +67,13 @@ class Trainer:
         self.epoch = start_epoch
         self.last_grad_norm: float | None = None  # the latest step's pre-clip norm
 
-    def _epoch_rng(self, epoch: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.settings.seed, spawn_key=(epoch,)))
-
     def _step(self, ids: np.ndarray, targets: np.ndarray, tf_prob: float,
               rng: np.random.Generator, epoch: int, batch_idx: int) -> float:
         """One training step; returns its loss and sets last_grad_norm."""
         model = self.model
         bits, enc_cache = model.encode_training(ids, rng)
-        cfg = ChannelConfig(p_d=self.settings.erasure_prob, seed=0)
-        obs = erase(bits, cfg, rng)
-        loss, _, dec_cache = model.decode_teacher_forced(obs, targets, tf_prob, rng)
+        obs = erase(bits, self.settings.erasure_prob, rng)
+        loss, dec_cache = model.decode_teacher_forced(obs, targets, tf_prob, rng)
         if not math.isfinite(loss):
             norm = "none" if self.last_grad_norm is None else f"{self.last_grad_norm:.3e}"
             raise NumericalError(
@@ -88,7 +83,7 @@ class Trainer:
         # erased bits had no effect on the loss; survivors pass the gradient
         survive = (obs != 0).astype(d_obs.dtype)
         model.encode_backward(enc_cache, d_obs * survive)
-        self.last_grad_norm = adam_step(model.parameters(), self.adam)
+        self.last_grad_norm = adam_step(self.adam)
         return loss
 
     def estimate_train_wer(self, sentences: list[TokenizedSentence], plan: BatchPlan,
@@ -102,7 +97,7 @@ class Trainer:
             return float("nan")
         sample = [sentences[order[k * len(order) // n]] for k in range(n)]
         bits = self.model.encode_sentences(sample)
-        obs = erase(bits.T, ChannelConfig(p_d=self.settings.erasure_prob, seed=0), rng)
+        obs = erase(bits.T, self.settings.erasure_prob, rng)
         decoded = self.model.greedy_decode_batch(obs)
         return sum(wer(s.ids, row) for s, row in zip(sample, decoded)) / n
 
@@ -116,7 +111,7 @@ class Trainer:
         for _ in range(epochs):
             start = time.perf_counter()
             self.epoch += 1
-            rng = self._epoch_rng(self.epoch)
+            rng = stream(self.settings.seed, self.epoch)
             tf_prob = tf_schedule(self.epoch, s.tf_start_epochs, s.tf_decay_epochs, s.tf_min)
             losses, norms = [], []
             for batch_idx, batch in enumerate(plan.batches):

@@ -15,7 +15,7 @@ from toy_corpus import make_eval_corpus, make_toy_corpus
 
 from textjscc.analysis import classical_mds, pairwise_distances
 from textjscc.budget import encode_with_budget
-from textjscc.channel import ChannelConfig, erase
+from textjscc.channel import erase, stream
 from textjscc.corpus import batch_by_length, build_vocabulary, char_frequencies, tokenize
 from textjscc.errors import DecodeFailure
 from textjscc.fec import RsCode, plan_budget, rs_decode_erasures, rs_encode
@@ -58,11 +58,10 @@ def train_toy_model(sentences, vocab, bits, max_epochs=500, stop_wer=0.0):
 
 
 def greedy_wer(model, toks, p_d, seed=99):
-    cfg = ChannelConfig(p_d=p_d, seed=seed)
     wers = []
     for i, tk in enumerate(toks):
         cw = model.encode(tk.ids, "deterministic")
-        obs = erase(cw, cfg, cfg.stream(i))
+        obs = erase(cw, p_d, stream(seed, i))
         hyp = model.greedy_decode_batch(obs[:, None])[0]
         wers.append(wer(tk.ids, hyp))
     return float(np.mean(wers))
@@ -118,7 +117,7 @@ def test_criterion_3_channel_statistics():
     start = time.monotonic()
     n = 10**6
     rng = np.random.default_rng(11)
-    obs = erase(np.ones(n, dtype=np.int8), ChannelConfig(p_d=0.05), rng)
+    obs = erase(np.ones(n, dtype=np.int8), 0.05, rng)
     e = (obs == 0).astype(np.float64)
     frac = float(e.mean())
     sigma = math.sqrt(0.05 * 0.95 / n)

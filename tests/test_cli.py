@@ -1,10 +1,11 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from textjscc import cli
+from textjscc import cli, training
 from textjscc.checkpoint import load_model, save_checkpoint
 from textjscc.config import DEFAULTS, load_config
 from textjscc.corpus import SPECIALS, Vocabulary, tokenize
@@ -303,6 +304,32 @@ class TestTrain:
         for p, q in zip(straight.parameters(), resumed.parameters()):
             assert np.array_equal(p.value, q.value), p.name
 
+    def test_resumed_run_holds_one_copy_of_the_state(self, workdir, monkeypatch):
+        """While a resumed run trains, the parameters and both Adam moments
+        are in memory once, not again as the checkpoint's blobs."""
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3"] + SMALL_MODEL + base + [
+            "--set", "model.decoder_hidden=96", "--set", "model.embed_dim=32"]
+        assert run(args + ["--set", "train.epochs=1"]) == 0
+        mid = str(out / "mid.tjscc")
+        os.replace(str(out / "model.tjscc"), mid)
+        model, _ = load_model(mid)
+        state_bytes = 3 * sum(p.value.nbytes for p in model.parameters())
+        del model
+        held = []
+
+        def measure(trainer, *rest, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return []
+        monkeypatch.setattr(training.Trainer, "run", measure)
+        tracemalloc.start()
+        try:
+            assert run(args + ["--set", "train.epochs=1", "--resume", mid]) == 0
+        finally:
+            tracemalloc.stop()
+        assert state_bytes <= held[0] < 1.5 * state_bytes, (held, state_bytes)
+
 
 class TestTransmit:
     def test_fixed5_lossless_round_trip(self, workdir, capsys):
@@ -426,6 +453,39 @@ class TestSweepCommand:
                     "--set", "sweep.trials=1"] + SMALL_MODEL + base)
         assert code == 0
         assert (out / "sweep_bits_per_sentence.csv").exists()
+
+    def _checkpoints(self, out, base, bits):
+        """An initialization checkpoint for each bit budget, in its own file."""
+        paths = []
+        for i, b in enumerate(bits):
+            assert run(["train", "--set", "train.epochs=0"] + SMALL_MODEL + base
+                       + ["--set", f"model.bits={b}"]) == 0
+            paths.append(str(out / f"ckpt{i}.tjscc"))
+            os.replace(str(out / "model.tjscc"), paths[-1])
+        return paths
+
+    def test_two_checkpoints_with_one_bit_budget_exit_2(self, workdir, capsys):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        first, second = self._checkpoints(out, base, [24, 24])
+        capsys.readouterr()
+        code = run(["sweep", "--set", "sweep.systems=[deep]", "--set", "sweep.values=[24]",
+                    "--set", f"sweep.checkpoints=[{first}, {second}]"] + SMALL_MODEL + base)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"config error: sweep checkpoints {first} and {second} both have "
+                       "a 24-bit budget\n")
+        assert not (out / "sweep_bits_per_sentence.csv").exists()
+
+    def test_checkpoints_with_two_bit_budgets_run(self, workdir):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        first, second = self._checkpoints(out, base, [24, 32])
+        assert run(["sweep", "--set", "sweep.systems=[deep]", "--set", "sweep.values=[24, 32]",
+                    "--set", f"sweep.checkpoints=[{first}, {second}]",
+                    "--set", "sweep.trials=1"] + SMALL_MODEL + base) == 0
+        rows = json.loads((out / "sweep_bits_per_sentence.json").read_text())
+        assert [(r["axis_value"], r["system"]) for r in rows] == [(24, "deep"), (32, "deep")]
 
 
 class TestEmbedCommand:

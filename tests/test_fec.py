@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textjscc import fec
-from textjscc.channel import ChannelConfig
 from textjscc.errors import DecodeFailure, DomainError, ShapeError
 from textjscc.fec import (
     GF_EXP,
@@ -389,25 +389,25 @@ class TestTransmitBaseline:
         plan = plan_budget(100, 0.3, "idealized")
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=plan.source_bits).astype(np.uint8)
-        out = transmit_baseline(bits, plan, ChannelConfig(p_d=0.3), rng)
+        out = transmit_baseline(bits, plan, rng)
         assert np.array_equal(out, bits)
 
     def test_concrete_lossless_channel(self):
-        plan = plan_budget(200, 0.05, "concrete")
+        """Blocks sized for p_d = 0.05, sent over a channel that erases nothing."""
+        plan = dataclasses.replace(plan_budget(200, 0.05, "concrete"), p_d=0.0)
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=plan.source_bits).astype(np.uint8)
-        out = transmit_baseline(bits, plan, ChannelConfig(p_d=0.0), rng)
+        out = transmit_baseline(bits, plan, rng)
         assert np.array_equal(out, bits)
 
     def test_concrete_with_noise_round_trips_mostly(self):
         plan = plan_budget(400, 0.02, "concrete")
-        cfg = ChannelConfig(p_d=0.02)
         rng = np.random.default_rng(2)
         ok = 0
         for _ in range(30):
             bits = rng.integers(0, 2, size=plan.source_bits).astype(np.uint8)
             try:
-                out = transmit_baseline(bits, plan, cfg, rng)
+                out = transmit_baseline(bits, plan, rng)
                 assert np.array_equal(out, bits)  # decoded means exact
                 ok += 1
             except DecodeFailure:
@@ -417,8 +417,7 @@ class TestTransmitBaseline:
     def test_over_budget_rejected(self):
         plan = plan_budget(100, 0.0, "idealized")
         with pytest.raises(DomainError):
-            transmit_baseline(np.zeros(101, dtype=np.uint8), plan, ChannelConfig(0.0),
-                              np.random.default_rng(0))
+            transmit_baseline(np.zeros(101, dtype=np.uint8), plan, np.random.default_rng(0))
 
 
 class TestRsCodeMemo:
@@ -431,7 +430,6 @@ class TestRsCodeMemo:
     def test_transmissions_match_fresh_codes(self, monkeypatch):
         """Memoized codes transmit exactly what a code built per call did."""
         plan = plan_budget(3200, 0.05, "concrete")
-        cfg = ChannelConfig(p_d=0.05)
 
         def outcomes():
             rng = np.random.default_rng(11)
@@ -439,7 +437,7 @@ class TestRsCodeMemo:
             for _ in range(8):
                 bits = rng.integers(0, 2, size=plan.source_bits).astype(np.uint8)
                 try:
-                    got.append(transmit_baseline(bits, plan, cfg, rng).tolist())
+                    got.append(transmit_baseline(bits, plan, rng).tolist())
                 except DecodeFailure as exc:
                     got.append(str(exc))
             return got

@@ -179,7 +179,7 @@ class TestEncoderTopStep:
             rng = np.random.default_rng(5)
             expectation = model.encode_batch(ids, "expectation")
             bits, enc_cache = model.encode_training(ids, rng)
-            loss, _, dec_cache = model.decode_teacher_forced(
+            loss, dec_cache = model.decode_teacher_forced(
                 bits.astype(config.dtype), targets, 0.5, rng)
             model.encode_backward(enc_cache, model.decode_backward(dec_cache))
             return expectation, loss, [p.grad.copy() for p in model.parameters()]
@@ -267,7 +267,7 @@ class TestDecodeTeacherForced:
         model = JsccModel(tiny_config(), seed=0)
         targets = np.array([[4, 5, 6, EOS_ID]])
         obs = model.encode([4, 5, 6], "deterministic")[:, None]
-        _, _, cache = model.decode_teacher_forced(obs, targets, tf_prob=1.0)
+        _, cache = model.decode_teacher_forced(obs, targets, tf_prob=1.0)
         inputs_used = cache[3]
         assert [int(v[0]) for v in inputs_used] == [SOS_ID, 4, 5, 6]
 
@@ -276,11 +276,14 @@ class TestDecodeTeacherForced:
         targets = np.array([[4, 5, 6, EOS_ID]])
         obs = model.encode([4, 5, 6], "deterministic")[:, None]
         rng = np.random.default_rng(0)
-        _, logits, cache = model.decode_teacher_forced(obs, targets, 0.0, rng)
+        _, cache = model.decode_teacher_forced(obs, targets, 0.0, rng)
         inputs_used = cache[3]
         assert int(inputs_used[0][0]) == SOS_ID
+        states, _ = model.decoder_init(obs)
         for t in range(1, len(inputs_used)):
-            assert int(inputs_used[t][0]) == int(logits[t - 1].argmax(axis=0)[0])
+            x = model.embed.value[inputs_used[t - 1]].T
+            logits, states, _ = model._decoder_step(x, states)
+            assert int(inputs_used[t][0]) == int(logits.argmax(axis=0)[0])
 
     def test_initial_loss_near_uniform(self):
         config = tiny_config(vocab_size=50)
@@ -288,7 +291,7 @@ class TestDecodeTeacherForced:
         ids = [4, 5, 6, 7, 8, 9]
         targets = np.array([ids + [EOS_ID]])
         obs = model.encode(ids, "deterministic")[:, None]
-        loss, _, _ = model.decode_teacher_forced(obs, targets, 1.0)
+        loss, _ = model.decode_teacher_forced(obs, targets, 1.0)
         expected = (len(ids) + 1) * math.log(50)
         assert abs(loss - expected) / expected < 0.10
 
@@ -660,7 +663,7 @@ class TestStraightThroughInvariant:
         bits, enc_cache = model.encode_training(ids, rng)
         obs = bits.astype(np.float64).copy()
         obs[2, 0] = 0.0  # erase one position
-        _, _, dec_cache = model.decode_teacher_forced(obs, targets, 1.0)
+        _, dec_cache = model.decode_teacher_forced(obs, targets, 1.0)
         d_obs = model.decode_backward(dec_cache)
         survive = (obs != 0).astype(d_obs.dtype)
         masked = d_obs * survive

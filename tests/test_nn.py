@@ -318,15 +318,13 @@ class TestNarrowMatmul:
 class TestOptimizers:
     def test_zero_grad_noop_adam(self):
         p = param([[1.0, 2.0]])
-        state = AdamState([p])
-        adam_step([p], state)
+        adam_step(AdamState([p]))
         assert p.value.tolist() == [[1.0, 2.0]]
 
     def test_adam_first_step_is_minus_lr(self):
         p = param([[0.0]])
         p.grad[...] = 1.0
-        state = AdamState([p], lr=1e-3)
-        adam_step([p], state)
+        adam_step(AdamState([p], lr=1e-3))
         assert p.value[0, 0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_global_norm_clipping(self):
@@ -340,7 +338,7 @@ class TestOptimizers:
     def test_adam_step_returns_pre_clip_norm(self, clip):
         p = param(np.zeros((1, 2)))
         p.grad[...] = [[3.0, 4.0]]
-        assert adam_step([p], AdamState([p], clip=clip)) == 5.0
+        assert adam_step(AdamState([p], clip=clip)) == 5.0
         assert np.all(p.grad == 0)
 
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from textjscc import nn, training
-from textjscc.checkpoint import load_model, read_checkpoint, restore_adam, save_checkpoint
+from textjscc.checkpoint import load_for_resume, load_model, read_checkpoint, save_checkpoint
 from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
 from textjscc.errors import EmptyCorpus, IoError, NumericalError
 from textjscc.gradcheck import run_verification_suite
 from textjscc.model import JsccConfig, JsccModel
+from textjscc.optim import AdamState
 from textjscc.training import Trainer, TrainSettings, tf_schedule
 
 EVERY_SUM_INLINE = 2**62
@@ -182,13 +183,11 @@ class TestCheckpoint:
 
     def test_missing_optimizer_state_is_io_error(self, tmp_path):
         vocab, _ = toy_corpus()
-        model = small_model(len(vocab))
         path = str(tmp_path / "model.tjscc")
-        save_checkpoint(path, model)
-        again, extra = load_model(path)
-        extra["has_adam"] = True
+        # says it holds optimizer state, but holds no moments
+        save_checkpoint(path, small_model(len(vocab)), AdamState([]))
         with pytest.raises(IoError, match="adam.m"):
-            restore_adam(again, extra, 1e-3, 5.0)
+            load_for_resume(path, 1e-3, 5.0)
 
     def test_resume_matches_unbroken_run(self, tmp_path):
         """6 epochs straight == 3 epochs + checkpoint + 3 resumed epochs."""
@@ -205,9 +204,8 @@ class TestCheckpoint:
         path = str(tmp_path / "mid.tjscc")
         save_checkpoint(path, broken, trainer.adam, {"epoch": trainer.epoch})
 
-        resumed, extra = load_model(path)
-        adam = restore_adam(resumed, extra, settings.lr, settings.clip)
-        Trainer(resumed, settings, adam, start_epoch=int(extra["epoch"])).run(toks, plan, 3)
+        resumed, adam, epoch = load_for_resume(path, settings.lr, settings.clip)
+        Trainer(resumed, settings, adam, start_epoch=epoch).run(toks, plan, 3)
 
         for p, q in zip(straight.parameters(), resumed.parameters()):
             assert np.array_equal(p.value, q.value), p.name
@@ -254,7 +252,7 @@ class TestEpochLog:
         steps = len(plan.batches)
         assert steps >= 2
         norms = iter([6.0] + [1.0] * (steps - 1))  # only the first exceeds the clip
-        monkeypatch.setattr(training, "adam_step", lambda params, state: next(norms))
+        monkeypatch.setattr(training, "adam_step", lambda state: next(norms))
         trainer = Trainer(small_model(len(vocab)), TrainSettings(clip=5.0, wer_sample=4))
         log = trainer.run(toks, plan, 1)[0]
         assert log.grad_norm == pytest.approx((6.0 + steps - 1) / steps)
@@ -267,8 +265,8 @@ class TestEpochLog:
         seen = []
         adam_step = training.adam_step
 
-        def recording(params, state):
-            seen.append(adam_step(params, state))
+        def recording(state):
+            seen.append(adam_step(state))
             return seen[-1]
         monkeypatch.setattr(training, "adam_step", recording)
         trainer = Trainer(small_model(len(vocab)), TrainSettings(clip=1e-3, wer_sample=4))
@@ -300,10 +298,10 @@ class TestGradientWorker:
         monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", inline_elements)
         steps = []
 
-        def capture(params, state):
+        def capture(state):
             queued = len(nn._pending)
-            steps.append(([p.grad.copy() for p in params], queued))
-            nn.zero_grads(params)
+            steps.append(([p.grad.copy() for p in state.params], queued))
+            nn.zero_grads(state.params)
             return 1.0
         monkeypatch.setattr(training, "adam_step", capture)
         vocab, toks = toy_corpus()
