@@ -8,16 +8,23 @@ Model parameters appear first, in declaration order; each LSTM cell is four
 blobs <prefix>.Wx, .Wh, .b and .p in the stacked-gate layout of nn.py.
 Optimizer moments (if saved) follow as adam.m.* / adam.v.* blobs.  TJSCC1
 files, which held fifteen per-gate arrays per cell, are rejected.
+
+The file is read in one pass: the header is checked, the model is built
+from its config, and each blob is read into its array, a parameter or, when
+resuming, an Adam moment; moments are skipped unless resuming.  Every read
+is bounded by the file size first, so a bad file raises IoError.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 
-from .errors import IoError, ShapeError
+from .errors import DomainError, IoError
 from .fileio import write_atomic
 from .model import JsccConfig, JsccModel
 from .optim import AdamState
@@ -25,128 +32,110 @@ from .optim import AdamState
 MAGIC = b"TJSCC2"
 
 
-def _write_blob(fh, name: str, arr: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-
-
 def save_checkpoint(path: str, model: JsccModel, adam: AdamState | None = None,
                     extra: dict | None = None) -> None:
     """Write params (declaration order) and optionally the optimizer state."""
-    config = dict(model.config.to_dict())
-    meta = {"config": config, "extra": dict(extra or {}), "has_adam": adam is not None}
+    meta = {"config": model.config.to_dict(), "extra": dict(extra or {}),
+            "has_adam": adam is not None}
     if adam is not None:
         meta["extra"]["adam_t"] = adam.t
     payload = json.dumps(meta, sort_keys=True).encode("utf-8")
     itemsize = np.dtype(model.config.dtype).itemsize
-
     blobs: list[tuple[str, np.ndarray]] = [(p.name, p.value) for p in model.parameters()]
     if adam is not None:
-        for p, m in zip(adam.params, adam.m):
-            blobs.append((f"adam.m.{p.name}", m))
-        for p, v in zip(adam.params, adam.v):
-            blobs.append((f"adam.v.{p.name}", v))
-
+        for kind, moments in (("m", adam.m), ("v", adam.v)):
+            blobs += [(f"adam.{kind}.{p.name}", a) for p, a in zip(adam.params, moments)]
     with write_atomic(path, binary=True) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", itemsize))
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
+        fh.write(MAGIC + struct.pack("<BI", itemsize, len(payload)) + payload)
         fh.write(struct.pack("<I", len(blobs)))
         for name, arr in blobs:
-            _write_blob(fh, name, arr)
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<II", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
 
 
-def read_checkpoint(path: str) -> tuple[JsccConfig, dict, dict[str, np.ndarray]]:
-    """Parse a checkpoint into (config, extra metadata, named blobs).
-
-    Every field is bounds-checked; a truncated, padded or garbled file
-    raises IoError.
-    """
+def _header(path: str, raw: bytes, itemsize: int, left: int) -> tuple[JsccConfig, dict]:
+    """The header's config and metadata, checked before any array exists."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-    if data[:6] == b"TJSCC1":
-        raise IoError(f"{path} holds the retired TJSCC1 layout of fifteen per-gate "
-                      "arrays per LSTM cell; retrain to write a TJSCC2 checkpoint")
-    if data[:6] != MAGIC:
-        raise IoError(f"{path} is not a checkpoint (bad magic)")
-    pos = 6
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise IoError(f"checkpoint {path} is truncated ({len(data)} bytes)")
-        pos += n
-        return data[pos - n:pos]
-
-    itemsize = take(1)[0]
-    if itemsize not in (4, 8):
-        raise IoError(f"checkpoint {path} has precision byte {itemsize}, expected 4 or 8")
-    dtype = np.dtype(f"<f{itemsize}")
-    (json_len,) = struct.unpack("<I", take(4))
-    header = take(json_len)
-    try:
-        meta = json.loads(header.decode("utf-8"))
+        meta = json.loads(raw.decode("utf-8"))
         config = JsccConfig(**meta["config"])
         extra = dict(meta.get("extra", {}))
         extra["has_adam"] = meta.get("has_adam", False)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, DomainError) as exc:
         raise IoError(f"checkpoint {path} has a malformed header: {exc}") from exc
-    (count,) = struct.unpack("<I", take(4))
-    blobs: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IoError(f"checkpoint {path} has a malformed blob name") from exc
-        rows, cols = struct.unpack("<II", take(8))
-        arr = np.frombuffer(take(rows * cols * itemsize), dtype=dtype).reshape(rows, cols)
-        blobs[name] = arr.astype(dtype.newbyteorder("="))
-    if pos != len(data):
-        raise IoError(f"checkpoint {path} has {len(data) - pos} trailing bytes")
-    return config, extra, blobs
+    if np.dtype(config.dtype).itemsize != itemsize:
+        raise IoError(f"checkpoint {path} has precision byte {itemsize} for {config.precision}")
+    counts = dict(config.to_dict(), epoch=extra.get("epoch", 0), adam_t=extra.get("adam_t", 0))
+    for key, value in counts.items():
+        if key != "precision" and (type(value) is not int or value < 0):
+            raise IoError(f"checkpoint {path} has {key} {value!r}, not a non-negative integer")
+    if config.parameter_count() * itemsize > left:
+        raise IoError(f"checkpoint {path} has {left} bytes after its header, too few "
+                      f"for the {config.parameter_count()} parameters of its config")
+    return config, extra
 
 
-def _build_model(path: str, config: JsccConfig, blobs: dict[str, np.ndarray]) -> JsccModel:
-    model = JsccModel(config)
-    for p in model.parameters():
-        if p.name not in blobs:
-            raise IoError(f"checkpoint {path} is missing blob {p.name!r}")
-        if blobs[p.name].shape != p.value.shape:
-            raise ShapeError(
-                f"blob {p.name!r} has shape {blobs[p.name].shape}, expected {p.value.shape}")
-        p.value[...] = blobs[p.name]
-    return model
+def _load(path: str, resume: tuple[float, float] | None):
+    """(model, AdamState(lr, clip) or None, header metadata) from one pass over
+    a checkpoint; without resume=(lr, clip) the moments are skipped."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def bound(n: int) -> int:  # the next n bytes, which the file must hold
+                if fh.tell() + n > size:
+                    raise IoError(f"checkpoint {path} is truncated ({size} bytes)")
+                return n
+            magic = fh.read(6)
+            if magic == b"TJSCC1":
+                raise IoError(f"{path} holds the retired TJSCC1 layout of fifteen per-gate "
+                              "arrays per LSTM cell; retrain to write a TJSCC2 checkpoint")
+            if magic != MAGIC:
+                raise IoError(f"{path} is not a checkpoint (bad magic)")
+            itemsize, json_len = struct.unpack("<BI", fh.read(bound(5)))
+            config, extra = _header(path, fh.read(bound(json_len)), itemsize, size - fh.tell())
+            model, state = JsccModel(config), None
+            targets = {p.name: p.value for p in model.parameters()}
+            if resume is not None and extra["has_adam"]:
+                state = AdamState(model.parameters(), *resume)
+                state.t = extra.get("adam_t", 0)
+                for kind, moments in (("m", state.m), ("v", state.v)):
+                    targets.update((f"adam.{kind}.{p.name}", a)
+                                   for p, a in zip(state.params, moments))
+            for _ in range(struct.unpack("<I", fh.read(bound(4)))[0]):
+                (name_len,) = struct.unpack("<H", fh.read(bound(2)))
+                try:
+                    name = fh.read(bound(name_len)).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise IoError(f"checkpoint {path} has a malformed blob name") from exc
+                rows, cols = struct.unpack("<II", fh.read(bound(8)))
+                target = targets.pop(name, None)
+                if target is None:  # a moment load_model skips, or an unknown blob
+                    fh.seek(bound(rows * cols * itemsize), os.SEEK_CUR)
+                elif target.shape != (rows, cols):
+                    raise IoError(f"checkpoint {path} has blob {name!r} of shape "
+                                  f"{(rows, cols)}, expected {target.shape}")
+                else:
+                    fh.readinto(memoryview(target).cast("B")[:bound(target.nbytes)])
+                    if sys.byteorder == "big":
+                        target.byteswap(inplace=True)
+            if fh.tell() != size:
+                raise IoError(f"checkpoint {path} has {size - fh.tell()} trailing bytes")
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    if targets:
+        raise IoError(f"checkpoint {path} is missing blob {next(iter(targets))!r}")
+    return model, state, extra
 
 
 def load_model(path: str) -> tuple[JsccModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, header metadata)."""
-    config, extra, blobs = read_checkpoint(path)
-    return _build_model(path, config, blobs), extra
+    model, _, extra = _load(path, None)
+    return model, extra
 
 
-def load_for_resume(path: str, lr: float,
-                    clip: float) -> tuple[JsccModel, AdamState | None, int]:
+def load_for_resume(path: str, lr: float, clip: float) -> tuple[JsccModel, AdamState | None, int]:
     """Rebuild what a resumed run continues from: the model, its optimizer
-    state (None if the checkpoint saved none) and the last finished epoch.
-    The blobs are dropped on return, so the run holds one copy of each."""
-    config, extra, blobs = read_checkpoint(path)
-    model = _build_model(path, config, blobs)
-    state = None
-    if extra["has_adam"]:
-        state = AdamState(model.parameters(), lr=lr, clip=clip)
-        state.t = int(extra.get("adam_t", 0))
-        for i, p in enumerate(state.params):
-            for kind, moments in (("m", state.m), ("v", state.v)):
-                blob = blobs.get(f"adam.{kind}.{p.name}")
-                if blob is None or blob.shape != p.value.shape:
-                    raise IoError(f"checkpoint lacks optimizer state adam.{kind}.{p.name}")
-                moments[i][...] = blob
-    return model, state, int(extra.get("epoch", 0))
+    state (None if the checkpoint saved none) and the last finished epoch."""
+    model, state, extra = _load(path, (lr, clip))
+    return model, state, extra.get("epoch", 0)

@@ -152,8 +152,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
                  entry.tf_prob, entry.grad_norm, entry.clip_rate, entry.sentences_per_s)
 
     trainer.run(sentences, plan, cfg["train.epochs"], on_epoch=on_epoch)
-    save_checkpoint(ckpt_path, model, trainer.adam, {"epoch": trainer.epoch})
-    _write_trainlog(log_path, rows)
+    if not rows or rows[-1].epoch % every != 0:  # else on_epoch has just saved both
+        save_checkpoint(ckpt_path, model, trainer.adam, {"epoch": trainer.epoch})
+        _write_trainlog(log_path, rows)
     print(f"checkpoint written to {ckpt_path}")
     if rows:
         print(f"final epoch {rows[-1].epoch}: loss {rows[-1].mean_loss:.4f} "

@@ -89,6 +89,16 @@ class JsccConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def parameter_count(self) -> int:
+        """The entries of JsccModel(self).parameters(), counted without building it."""
+        e, he, hd, half = self.embed_dim, self.encoder_hidden, self.decoder_hidden, self.bits // 2
+        # an LSTM cell from d inputs to h units holds h * (4d + 4h + 7) entries
+        encoder = 2 * he * (4 * e + 4 * he + 7 + (self.encoder_stacks - 1) * (12 * he + 7))
+        decoder = hd * (4 * e + 4 * hd + 7 + (self.decoder_stacks - 1) * (8 * hd + 7))
+        bottleneck = 2 * half * (2 * self.encoder_stacks * he + 1)
+        init_maps = 2 * self.decoder_stacks * hd * (half + 1)
+        return self.vocab_size * (e + hd + 1) + encoder + bottleneck + init_maps + decoder
+
 
 def binarize_stochastic(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Map x in [-1,1] to +1 with probability (1+x)/2, else -1; E[out] = x."""

@@ -1,14 +1,17 @@
 import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textjscc import cli, training
-from textjscc.checkpoint import load_model, save_checkpoint
+from textjscc.checkpoint import load_for_resume, load_model, save_checkpoint
 from textjscc.config import DEFAULTS, load_config
 from textjscc.corpus import SPECIALS, Vocabulary, tokenize
+from textjscc.errors import ConfigError
 from textjscc.model import JsccConfig, JsccModel
 
 CORPUS = [
@@ -258,6 +261,33 @@ class TestRangeTable:
         assert "values must " in err
 
 
+NUMERIC_KEYS = sorted(key for key, value in DEFAULTS.items() if type(value) in (int, float))
+YAML_SPELLINGS = ["1e-9", "1e400", "-1e400", ".nan", ".inf", "-.inf", "0x10", "1_000",
+                  "true", "[]", "~", "-0", "0.5", "1.5e3", "07"]
+
+
+class TestNumericOverrides:
+    """Any numeric --set override either configures a run or is a config
+    error: no raw exception from loading it or building from it."""
+
+    def test_every_numeric_key_is_drawn(self):
+        assert len(NUMERIC_KEYS) == 25
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(NUMERIC_KEYS),
+                              st.one_of(st.integers(-2**70, 2**70), st.floats(),
+                                        st.sampled_from(YAML_SPELLINGS))),
+                    min_size=1, max_size=3))
+    def test_ends_configured_or_config_error(self, overrides):
+        try:
+            cfg = load_config(None, [f"{key}={value}" for key, value in overrides])
+            cfg.jscc_config(cfg["corpus.vocab_size"])
+            cfg.train_settings()
+            cfg.sweep_spec()
+        except ConfigError:
+            pass
+
+
 class TestTrain:
     def test_empty_training_set_exits_3(self, workdir, capsys):
         tmp, out, base = workdir
@@ -303,6 +333,22 @@ class TestTrain:
         resumed, _ = load_model(str(out / "model.tjscc"))
         for p, q in zip(straight.parameters(), resumed.parameters()):
             assert np.array_equal(p.value, q.value), p.name
+
+    @pytest.mark.parametrize("epochs, every, saves", [(4, 2, 2), (3, 2, 2), (0, 1, 1)])
+    def test_final_checkpoint_written_once(self, workdir, monkeypatch, epochs, every, saves):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        written = []
+
+        def counting(path, model, adam=None, extra=None):
+            written.append(extra["epoch"])
+            save_checkpoint(path, model, adam, extra)
+        monkeypatch.setattr(cli, "save_checkpoint", counting)
+        assert run(["train", "--set", f"train.epochs={epochs}",
+                    "--set", f"train.checkpoint_every={every}"] + SMALL_MODEL + base) == 0
+        assert len(written) == saves and written[-1] == epochs, written
+        assert load_for_resume(str(out / "model.tjscc"), 1e-3, 5.0)[2] == epochs
+        assert len((out / "trainlog.csv").read_text().splitlines()) == 1 + epochs
 
     def test_resumed_run_holds_one_copy_of_the_state(self, workdir, monkeypatch):
         """While a resumed run trains, the parameters and both Adam moments
@@ -388,6 +434,27 @@ class TestTransmit:
                     "--system", "huffman"] + base)
         assert code == 3
         assert "charfreq.tsv" in capsys.readouterr().err
+
+    def test_oversized_checkpoint_header_exits_3(self, workdir, capsys):
+        """A header whose config implies far more parameters than the file
+        holds is an IoError before any array is allocated."""
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        config = JsccConfig(vocab_size=6, embed_dim=2, encoder_stacks=1, encoder_hidden=2,
+                            decoder_stacks=1, decoder_hidden=2, bits=4)
+        meta = {"config": dict(config.to_dict(), vocab_size=10**9), "extra": {},
+                "has_adam": False}
+        header = json.dumps(meta).encode("utf-8")
+        ckpt = tmp / "huge.tjscc"
+        ckpt.write_bytes(b"TJSCC2" + struct.pack("<BI", 4, len(header)) + header
+                         + struct.pack("<I", 0))
+        capsys.readouterr()
+        code = run(["transmit", "--sentence", "the cat sat on the mat .", "--system", "deep",
+                    "--checkpoint", str(ckpt)] + base)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert str(ckpt) in err and "Traceback" not in err
 
     def test_deep_system_runs(self, workdir, capsys):
         tmp, out, base = workdir

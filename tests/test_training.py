@@ -1,11 +1,15 @@
+import json
 import re
+import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from textjscc import nn, training
-from textjscc.checkpoint import load_for_resume, load_model, read_checkpoint, save_checkpoint
+from textjscc import checkpoint, nn, training
+from textjscc.checkpoint import load_for_resume, load_model, save_checkpoint
+from textjscc.config import load_config
 from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
 from textjscc.errors import EmptyCorpus, IoError, NumericalError
 from textjscc.gradcheck import run_verification_suite
@@ -124,6 +128,37 @@ class TestTrainWerSample:
         assert np.isfinite(train_wer)
 
 
+def blob_names(path):
+    """The blob names of a checkpoint, read by walking its layout."""
+    data = open(path, "rb").read()
+    itemsize, json_len = struct.unpack_from("<BI", data, 6)
+    pos = 11 + json_len
+    (count,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    names = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        names.append(data[pos + 2:pos + 2 + name_len].decode("utf-8"))
+        rows, cols = struct.unpack_from("<II", data, pos + 2 + name_len)
+        pos += 2 + name_len + 8 + rows * cols * itemsize
+    assert pos == len(data)
+    return names
+
+
+def rewrite_header(path, edit):
+    """Pass a checkpoint's header through edit(meta) and write it back."""
+    data = path.read_bytes()
+    (json_len,) = struct.unpack_from("<I", data, 7)
+    meta = json.loads(data[11:11 + json_len])
+    edit(meta)
+    header = json.dumps(meta).encode("utf-8")
+    path.write_bytes(data[:7] + struct.pack("<I", len(header)) + header + data[11 + json_len:])
+
+
+TINY = JsccConfig(vocab_size=6, embed_dim=2, encoder_stacks=1, encoder_hidden=2,
+                  decoder_stacks=1, decoder_hidden=2, bits=4, beam_width=1, max_decode_len=3)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         vocab, toks = toy_corpus()
@@ -143,24 +178,110 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         with open(path, "rb") as fh:
             assert fh.read(6) == b"TJSCC2"
-        _, _, blobs = read_checkpoint(path)
-        assert list(blobs)[: len(model.parameters())] == [p.name for p in model.parameters()]
+        assert blob_names(path) == [p.name for p in model.parameters()]
+
+    def test_moments_follow_the_parameters(self, tmp_path):
+        model = JsccModel(TINY)
+        path = str(tmp_path / "model.tjscc")
+        save_checkpoint(path, model, AdamState(model.parameters()))
+        names = [p.name for p in model.parameters()]
+        assert blob_names(path) == (names + [f"adam.m.{n}" for n in names]
+                                    + [f"adam.v.{n}" for n in names])
 
     def test_every_truncation_is_io_error(self, tmp_path):
-        config = JsccConfig(vocab_size=6, embed_dim=2, encoder_stacks=1, encoder_hidden=2,
-                            decoder_stacks=1, decoder_hidden=2, bits=4, beam_width=1,
-                            max_decode_len=3)
         path = tmp_path / "model.tjscc"
-        save_checkpoint(str(path), JsccModel(config))
+        save_checkpoint(str(path), JsccModel(TINY))
         blob = path.read_bytes()
         cut = tmp_path / "cut.tjscc"
+        loaders = (load_model, lambda p: load_for_resume(p, 1e-3, 5.0))
         for n in range(len(blob)):
             cut.write_bytes(blob[:n])
-            with pytest.raises(IoError):
-                read_checkpoint(str(cut))
+            for load in loaders:
+                with pytest.raises(IoError):
+                    load(str(cut))
         cut.write_bytes(blob + b"\0")
+        for load in loaders:
+            with pytest.raises(IoError, match="trailing"):
+                load(str(cut))
+
+    def test_skipped_moments_are_still_bounded(self, tmp_path):
+        """load_model seeks past the moments, but a cut or padded moment
+        section is still an IoError."""
+        model = JsccModel(TINY)
+        path = tmp_path / "model.tjscc"
+        save_checkpoint(str(path), model, AdamState(model.parameters()))
+        blob = path.read_bytes()
+        moments = 2 * sum(p.value.nbytes for p in model.parameters())
+        for n in (len(blob) - moments // 2, len(blob) - 1):
+            path.write_bytes(blob[:n])
+            with pytest.raises(IoError, match="truncated"):
+                load_model(str(path))
+        path.write_bytes(blob + b"\0")
         with pytest.raises(IoError, match="trailing"):
-            read_checkpoint(str(cut))
+            load_model(str(path))
+
+    def test_parameter_count_matches_the_model(self):
+        paper = load_config().jscc_config(1000)
+        assert paper.parameter_count() == 7_611_064
+        configs = [paper, TINY, small_model(40).config, small_model(9, bits=2).config,
+                   JsccConfig(vocab_size=7, embed_dim=5, encoder_stacks=3, encoder_hidden=4,
+                              decoder_stacks=1, decoder_hidden=6, bits=10)]
+        for config in configs:
+            built = sum(p.value.size for p in JsccModel(config).parameters())
+            assert config.parameter_count() == built, config
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("config", "vocab_size", 10**9),
+        ("config", "precision", "f16"),
+        ("config", "bits", 3),
+        ("config", "embed_dim", 2.0),
+        ("extra", "epoch", "x"),
+        ("extra", "epoch", None),
+        ("extra", "epoch", [1]),
+        ("extra", "epoch", -1),
+        ("extra", "adam_t", "x"),
+        ("extra", "adam_t", None),
+        ("extra", "adam_t", [1]),
+        ("extra", "adam_t", True),
+    ])
+    def test_bad_header_is_io_error_before_the_model(self, tmp_path, monkeypatch,
+                                                     section, key, value):
+        model = JsccModel(TINY)
+        path = tmp_path / "model.tjscc"
+        save_checkpoint(str(path), model, AdamState(model.parameters()), {"epoch": 1})
+        rewrite_header(path, lambda meta: meta[section].__setitem__(key, value))
+
+        def build(*args, **kwargs):
+            pytest.fail("the model was built from a bad header")
+        monkeypatch.setattr(checkpoint, "JsccModel", build)
+        for load in (load_model, lambda p: load_for_resume(p, 1e-3, 5.0)):
+            with pytest.raises(IoError, match=re.escape(str(path))):
+                load(str(path))
+
+    def test_loading_holds_no_second_copy(self, tmp_path):
+        """Each blob is read straight into its array: no whole-file buffer
+        and no blob copies on the way."""
+        config = JsccConfig(vocab_size=40, embed_dim=32, encoder_stacks=2, encoder_hidden=48,
+                            decoder_stacks=2, decoder_hidden=64, bits=64, beam_width=1,
+                            max_decode_len=4)
+        model = JsccModel(config, seed=1)
+        path = str(tmp_path / "model.tjscc")
+        save_checkpoint(path, model, AdamState(model.parameters()), {"epoch": 1})
+        del model
+        for load, ratio in ((lambda: load_model(path)[0], 1.5),
+                            (lambda: load_for_resume(path, 1e-3, 5.0), 1.25)):
+            tracemalloc.start()
+            try:
+                loaded = load()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            model, state = (loaded, None) if isinstance(loaded, JsccModel) else loaded[:2]
+            held = sum(p.value.nbytes for p in model.parameters())
+            if state is not None:
+                held += sum(m.nbytes + v.nbytes for m, v in zip(state.m, state.v))
+            assert peak <= ratio * held, (peak / held, ratio)
+            del loaded, model, state
 
     @pytest.mark.parametrize("offset,value", [(6, 5), (6, 0), (11, ord("]"))])
     def test_bad_precision_byte_or_header_is_io_error(self, tmp_path, offset, value):
