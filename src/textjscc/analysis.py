@@ -8,12 +8,15 @@ from .errors import DomainError, ShapeError
 
 
 def hamming_matrix(codewords) -> np.ndarray:
-    """Pairwise Hamming distances between equal-length {-1,+1} codewords."""
+    """Pairwise Hamming distances between equal-length {-1,+1} codewords C,
+    as (bits - C C^T) / 2; float64 holds these integer products exactly."""
     cw = np.asarray(codewords)
     if cw.ndim != 2:
         raise ShapeError("expected a (count, bits) codeword array")
-    diff = cw[:, None, :] != cw[None, :, :]
-    return diff.sum(axis=2).astype(np.int64)
+    if not np.all(np.abs(cw) == 1):
+        raise DomainError("codeword entries must be -1 or +1")
+    c = cw.astype(np.float64)
+    return ((cw.shape[1] - c @ c.T) / 2).astype(np.int64)
 
 
 def classical_mds(D: np.ndarray, dim: int = 2) -> np.ndarray:

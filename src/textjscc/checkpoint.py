@@ -9,10 +9,11 @@ blobs <prefix>.Wx, .Wh, .b and .p in the stacked-gate layout of nn.py.
 Optimizer moments (if saved) follow as adam.m.* / adam.v.* blobs.  TJSCC1
 files, which held fifteen per-gate arrays per cell, are rejected.
 
-The file is read in one pass: the header is checked, the model is built
-from its config, and each blob is read into its array, a parameter or, when
-resuming, an Adam moment; moments are skipped unless resuming.  Every read
-is bounded by the file size first, so a bad file raises IoError.
+The file is read in one pass: the header is checked, the model's arrays are
+allocated from its config without an initialization draw, and each blob is
+read into its array, a parameter or, when resuming, an Adam moment; moments
+are skipped unless resuming.  Every read is bounded by the file size first
+and every array must be filled, so a bad file raises IoError.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _load(path: str, resume: tuple[float, float] | None):
                 raise IoError(f"{path} is not a checkpoint (bad magic)")
             itemsize, json_len = struct.unpack("<BI", fh.read(bound(5)))
             config, extra = _header(path, fh.read(bound(json_len)), itemsize, size - fh.tell())
-            model, state = JsccModel(config), None
+            model, state = JsccModel(config, seed=None), None
             targets = {p.name: p.value for p in model.parameters()}
             if resume is not None and extra["has_adam"]:
                 state = AdamState(model.parameters(), *resume)

@@ -3,9 +3,11 @@
 Subcommands: prepare, train, transmit, sweep, embed, gradcheck.  Every
 command validates its configuration before touching the filesystem, all
 output files are written atomically through fileio.write_atomic, and all
-randomness flows from the single config seed.  `transmit` and `sweep` send
-the baselines through the same dispatch (sweeps.encode_group and
-sweeps.transmit_group), and the system names come from sweeps.SYSTEMS.
+randomness flows from the single config seed: results are bit-reproducible
+from (config, seed) on one numpy and BLAS build at one BLAS thread count
+(see training).  `transmit` and `sweep` send the baselines through the same
+dispatch (sweeps.encode_group and sweeps.transmit_group), and the system
+names come from sweeps.SYSTEMS.
 channel.erasure_prob is the channel's p_d: the deep codec is erased at it,
 and a baseline's FecPlan, planned for it, carries it across the channel.
 
@@ -63,13 +65,16 @@ def _require_file(path: str | None, what: str) -> str:
     return path
 
 
-def _load_model_for(path: str, what: str, vocab: Vocabulary) -> JsccModel:
-    """Load a checkpoint that must have been trained with this vocabulary."""
-    model, _ = load_model(_require_file(path, what))
+def _check_vocabulary(model: JsccModel, path: str, what: str, vocab: Vocabulary) -> JsccModel:
+    """The model loaded from `path`, which must have been trained with this vocabulary."""
     if model.config.vocab_size != len(vocab):
         raise ConfigError(f"{what} {path} was trained with {model.config.vocab_size} "
                           f"vocabulary tokens, but the vocabulary has {len(vocab)}")
     return model
+
+
+def _load_model_for(path: str, what: str, vocab: Vocabulary) -> JsccModel:
+    return _check_vocabulary(load_model(_require_file(path, what))[0], path, what, vocab)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -127,6 +132,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     if args.resume:
         model, adam, epoch = load_for_resume(_require_file(args.resume, "checkpoint"),
                                              settings.lr, settings.clip)
+        _check_vocabulary(model, args.resume, "checkpoint", vocab)
         trainer = Trainer(model, settings, adam, start_epoch=epoch)
         log.info("resumed from %s at epoch %d", args.resume, trainer.epoch)
     else:
@@ -178,7 +184,7 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
     if args.system == "deep":
         model = _load_model_for(args.checkpoint or _out_path(cfg, "model.tjscc"),
                                 "checkpoint", vocab)
-        codeword = model.encode(sent.ids, "deterministic")
+        codeword = model.encode(sent.ids)
         obs = erase(codeword, p_d, stream(cfg["seed"], 0))
         hyp = model.beam_search_decode(obs, cfg["model.beam_width"])
         print(f"codeword bits: {codeword.size}")

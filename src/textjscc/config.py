@@ -136,8 +136,7 @@ class RunConfig:
             raise ConfigError(f"unknown baseline.fec_mode {v['baseline.fec_mode']!r}")
         if v["train.precision"] not in ("f32", "f64"):
             raise ConfigError(f"train.precision must be f32 or f64")
-        if not v["sweep.values"]:
-            raise ConfigError("sweep.values must be a nonempty array")
+        self.sweep_spec()  # SweepSpec checks the sweep.* keys
 
     # ----- derived objects -----
 

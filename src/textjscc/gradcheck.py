@@ -12,6 +12,7 @@ rounding noise, so entries below DENOM_FLOOR compare on an absolute scale:
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 import numpy as np
@@ -89,7 +90,7 @@ def check_dense(seed: int = 0) -> float:
             return 0.5 * float((y ** 2).sum()), (cache, y)
 
         def backward(state):
-            x.grad += dense_backward(*state)
+            x.accumulate(operator.iadd, dense_backward(*state))
 
         worst = max(worst, gradient_check(forward, backward, [W, a, x]))
     return worst
@@ -108,7 +109,7 @@ def check_lstm_cell(seed: int = 0) -> float:
 
     def backward(state):
         for p, grad in zip((x, h0, c0), lstm_cell_backward(cell, *state)):
-            p.grad += grad
+            p.accumulate(operator.iadd, grad)
 
     return gradient_check(forward, backward, cell.parameters() + [x, h0, c0])
 
@@ -126,7 +127,7 @@ def check_blstm(seed: int = 0) -> float:
 
     def backward(state):
         for x, dx in zip(xs, blstm_layer_backward(fwd, bwd, *state)):
-            x.grad += dx
+            x.accumulate(operator.iadd, dx)
 
     return gradient_check(forward, backward, fwd.parameters() + bwd.parameters() + xs)
 
@@ -137,14 +138,14 @@ def check_softmax(seed: int = 0) -> float:
     targets = np.array([2, 0])
 
     def backward(dlogits):
-        logits.grad += dlogits
+        logits.accumulate(operator.iadd, dlogits)
 
     return gradient_check(lambda: softmax_cross_entropy(logits.value, targets), backward,
                           [logits])
 
 
 def check_full_graph(seed: int = 0) -> float:
-    """Encoder (expectation-mode binarizer) through decoder at tiny dims."""
+    """Encoder through decoder at tiny dims, the binarizer replaced by its expectation."""
     from .model import JsccConfig, JsccModel
 
     config = JsccConfig(vocab_size=10, embed_dim=8, encoder_stacks=2, encoder_hidden=8,

@@ -1,10 +1,11 @@
 """The joint source-channel codec.
 
 Encoder: embeddings -> stacked BLSTMs -> last-step output/cell concatenation
--> two tanh dense maps of width bits/2 -> stochastic binarizer.  The decoder
-splits the channel observation in half, maps the halves into per-stack
-initial states (the cell-state map is affine, deliberately without tanh), and
-runs stacked LSTMs with a dense vocabulary projection.
+-> two tanh dense maps of width bits/2 -> a binarizer, stochastic in
+training (encode_training) and deterministic at inference (encode).  The
+decoder splits the channel observation in half, maps the halves into
+per-stack initial states (the cell-state map is affine, deliberately without
+tanh), and runs stacked LSTMs with a dense vocabulary projection.
 
 The bottleneck reads only the last position, where the top layer's backward
 direction has seen a single input: that position's.  So that direction runs
@@ -118,15 +119,20 @@ def binarize_deterministic(x: np.ndarray) -> np.ndarray:
 class JsccModel:
     """Trainable encoder/decoder pair with a shared embedding table."""
 
-    def __init__(self, config: JsccConfig, seed: int = 0):
+    def __init__(self, config: JsccConfig, seed: int | None = 0):
+        """Glorot weights drawn from seed; seed None leaves them unset, for a
+        checkpoint reader that fills every parameter."""
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         dtype = config.dtype
+
+        def weight(shape: tuple[int, int]) -> np.ndarray:
+            return np.empty(shape, dtype) if rng is None else glorot(shape, rng, dtype)
+
         half = config.bits // 2
         enc_h, dec_h = config.encoder_hidden, config.decoder_hidden
 
-        self.embed = Parameter(
-            glorot((config.vocab_size, config.embed_dim), rng, dtype), "embed")
+        self.embed = Parameter(weight((config.vocab_size, config.embed_dim)), "embed")
 
         self.encoder: list[tuple[LstmCellParams, LstmCellParams]] = []
         in_dim = config.embed_dim
@@ -137,16 +143,16 @@ class JsccModel:
             in_dim = 2 * enc_h
 
         concat_dim = config.encoder_stacks * 2 * enc_h
-        self.W_h = Parameter(glorot((half, concat_dim), rng, dtype), "bottleneck.W_h")
+        self.W_h = Parameter(weight((half, concat_dim)), "bottleneck.W_h")
         self.a_h = Parameter(np.zeros((half, 1), dtype=dtype), "bottleneck.a_h")
-        self.W_c = Parameter(glorot((half, concat_dim), rng, dtype), "bottleneck.W_c")
+        self.W_c = Parameter(weight((half, concat_dim)), "bottleneck.W_c")
         self.a_c = Parameter(np.zeros((half, 1), dtype=dtype), "bottleneck.a_c")
 
         self.init_maps: list[tuple[Parameter, Parameter, Parameter, Parameter]] = []
         for j in range(config.decoder_stacks):
-            Wh = Parameter(glorot((dec_h, half), rng, dtype), f"dec{j}.init.W_h")
+            Wh = Parameter(weight((dec_h, half)), f"dec{j}.init.W_h")
             ah = Parameter(np.zeros((dec_h, 1), dtype=dtype), f"dec{j}.init.a_h")
-            Wc = Parameter(glorot((dec_h, half), rng, dtype), f"dec{j}.init.W_c")
+            Wc = Parameter(weight((dec_h, half)), f"dec{j}.init.W_c")
             ac = Parameter(np.zeros((dec_h, 1), dtype=dtype), f"dec{j}.init.a_c")
             self.init_maps.append((Wh, ah, Wc, ac))
 
@@ -156,7 +162,7 @@ class JsccModel:
             self.decoder.append(LstmCellParams(in_dim, dec_h, rng, dtype, f"dec{j}"))
             in_dim = dec_h
 
-        self.W_out = Parameter(glorot((config.vocab_size, dec_h), rng, dtype), "out.W")
+        self.W_out = Parameter(weight((config.vocab_size, dec_h)), "out.W")
         self.b_out = Parameter(np.zeros((config.vocab_size, 1), dtype=dtype), "out.b")
 
         self._params: list[Parameter] = [self.embed]
@@ -234,28 +240,16 @@ class JsccModel:
         for t in range(T):
             self.embed.accumulate(np.add.at, ids_full[:, t], dxs[t].T)
 
-    def encode_batch(self, ids_batch, mode: str = "deterministic",
-                     rng: np.random.Generator | None = None):
-        """Codewords for a homogeneous batch; (bits, B) over {-1,+1}, or real
-        values in expectation mode."""
+    def encode_batch(self, ids_batch) -> np.ndarray:
+        """Deterministic codewords for a homogeneous batch, (bits, B) over
+        {-1,+1}; training binarizes stochastically in encode_training."""
         xs, _ = self._embed_steps(ids_batch)
         h_star, c_star, _ = self._encoder_forward(xs)
-        real = np.concatenate([h_star, c_star], axis=0)
-        if mode == "expectation":
-            return real
-        if mode == "deterministic":
-            return binarize_deterministic(real)
-        if mode == "stochastic":
-            if rng is None:
-                raise DomainError("stochastic encoding needs an rng")
-            return binarize_stochastic(real, rng)
-        raise DomainError(f"unknown encode mode {mode!r}")
+        return binarize_deterministic(np.concatenate([h_star, c_star], axis=0))
 
-    def encode(self, ids, mode: str = "deterministic",
-               rng: np.random.Generator | None = None) -> np.ndarray:
+    def encode(self, ids) -> np.ndarray:
         """Length-bits codeword for one sentence."""
-        out = self.encode_batch(np.asarray([list(ids)], dtype=np.int64), mode, rng)
-        return out[:, 0]
+        return self.encode_batch(np.asarray([list(ids)], dtype=np.int64))[:, 0]
 
     def encode_sentences(self, sents: Sequence[TokenizedSentence]) -> np.ndarray:
         """Deterministic codewords, one (bits,) row per sentence in input
@@ -303,18 +297,10 @@ class JsccModel:
         return states, caches
 
     def _decoder_init_backward(self, caches, d_states) -> np.ndarray:
-        half = self.config.bits // 2
-        d_h = None
-        d_c = None
-        for (cache_h, cache_c), (dh0, dc0) in zip(caches, d_states):
-            gh = dense_backward(cache_h, dh0)
-            gc = dense_backward(cache_c, dc0)
-            d_h = gh if d_h is None else d_h + gh
-            d_c = gc if d_c is None else d_c + gc
-        out = np.zeros((self.config.bits, d_h.shape[1]), dtype=d_h.dtype)
-        out[:half] = d_h
-        out[half:] = d_c
-        return out
+        """dLoss/dObservation: every stack's init-map input gradient, summed."""
+        grads = [np.concatenate([dense_backward(cache_h, dh0), dense_backward(cache_c, dc0)])
+                 for (cache_h, cache_c), (dh0, dc0) in zip(caches, d_states)]
+        return sum(grads[1:], grads[0])
 
     def _decoder_step(self, x: np.ndarray, states):
         """One step through the LSTM stacks; returns (logits, new_states, caches)."""

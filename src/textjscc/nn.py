@@ -39,7 +39,7 @@ once on the caller's thread.  Routing depends only on a parameter's size, so
 each buffer's sums happen in program order and equal the inline sums bit for
 bit.  Meanwhile the caller goes on down the input-gradient chain; BLAS
 releases the GIL, so the worker's weight products overlap the caller's.
-Reads wait: the `grad` getter and setter and `zero_grad` first wait for the
+Reads wait: the `grad` property and `zero_grad` first wait for the
 queue to empty, and raise the first exception a job raised.  `accumulate`
 waits while GRAD_QUEUE_DEPTH jobs are pending.  A job runs in the caller's
 context (so under its `np.errstate`) and touches only its buffer and its
@@ -103,11 +103,6 @@ class Parameter:
     def grad(self) -> np.ndarray:
         wait_for_gradients()
         return self._buffer()
-
-    @grad.setter
-    def grad(self, value: np.ndarray) -> None:
-        wait_for_gradients()
-        self._grad = value
 
     def accumulate(self, fn, *arrays: np.ndarray) -> None:
         """Run fn(gradient buffer, *arrays): now for a small parameter, else
@@ -228,9 +223,10 @@ def dense_backward(cache, dy: np.ndarray) -> np.ndarray:
 
 class LstmCellParams:
     """Weights for one peephole LSTM cell in stacked-gate form (see module
-    docstring); the forget-gate bias starts at 1."""
+    docstring); the forget-gate bias starts at 1.  With rng None the weights
+    are allocated but not drawn, for a caller that fills every one."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None,
                  dtype=np.float32, prefix: str = "lstm"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
@@ -240,6 +236,8 @@ class LstmCellParams:
         self.b = Parameter(np.zeros((4 * h, 1), dtype=dtype), f"{prefix}.b")
         self.p = Parameter(np.empty((3 * h, 1), dtype=dtype), f"{prefix}.p")
         self.b.value[h:2 * h] = 1.0  # open forget gate
+        if rng is None:
+            return
         # Per-gate Glorot blocks drawn in the order i, f, g, o (x, h, peephole),
         # written into place: concatenating them would copy every weight again.
         for k, gate in enumerate("ifgo"):

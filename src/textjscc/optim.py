@@ -20,7 +20,8 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     if norm > max_norm > 0.0:
         scale = max_norm / norm
         for p in params:
-            p.grad *= scale
+            grad = p.grad
+            grad *= scale
     return norm
 
 

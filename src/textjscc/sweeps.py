@@ -69,9 +69,9 @@ class SweepSpec:
             raise ConfigError("trials must be >= 1")
         if self.lz_batch < 1:
             raise ConfigError(f"lz_batch must be >= 1, got {self.lz_batch}")
-        unknown = set(self.systems) - set(SYSTEMS)
+        unknown = [s for s in self.systems if s not in SYSTEMS]
         if unknown:
-            raise ConfigError(f"unknown systems: {sorted(unknown)}")
+            raise ConfigError(f"unknown systems: {unknown}")
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 All randomness in epoch e flows from channel.stream(seed, e), so a
 run resumed from a checkpoint continues bit-identically to the unbroken run
-(provided the checkpoint carried the optimizer moments).
+(provided the checkpoint carried the optimizer moments).  Runs are
+bit-reproducible from (config, seed) on one numpy and BLAS build at one BLAS
+thread count: BLAS splits its sums by thread count, so weight gradients
+differ in their last bits between, e.g., OPENBLAS_NUM_THREADS=1 and 2.
 """
 
 from __future__ import annotations

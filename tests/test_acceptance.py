@@ -60,7 +60,7 @@ def train_toy_model(sentences, vocab, bits, max_epochs=500, stop_wer=0.0):
 def greedy_wer(model, toks, p_d, seed=99):
     wers = []
     for i, tk in enumerate(toks):
-        cw = model.encode(tk.ids, "deterministic")
+        cw = model.encode(tk.ids)
         obs = erase(cw, p_d, stream(seed, i))
         hyp = model.greedy_decode_batch(obs[:, None])[0]
         wers.append(wer(tk.ids, hyp))

@@ -34,6 +34,22 @@ class TestHammingMatrix:
         with pytest.raises(ShapeError):
             hamming_matrix(np.array([1, -1, 1]))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+    def test_matches_pairwise_comparison(self, dtype):
+        rng = np.random.default_rng(3)
+        cw = rng.choice([-1, 1], size=(40, 400)).astype(dtype)
+        want = (cw[:, None, :] != cw[None, :, :]).sum(axis=2)
+        got = hamming_matrix(cw)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [0, 2, -128, 0.5, np.nan])
+    def test_entries_other_than_plus_minus_one_rejected(self, bad):
+        cw = np.ones((3, 4))
+        cw[1, 2] = bad
+        with pytest.raises(DomainError):
+            hamming_matrix(cw.astype(np.int8) if bad == -128 else cw)
+
 
 class TestClassicalMds:
     def test_collinear_points(self):

@@ -260,6 +260,22 @@ class TestRangeTable:
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
         assert "values must " in err
 
+    @pytest.mark.parametrize("bad", [
+        ["--set", "sweep.axis=bogus"],
+        ["--set", "sweep.systems=[bogus]"],
+        ["--set", "sweep.systems=[[fixed5]]"],
+        ["--set", "sweep.axis=erasure_rate", "--set", "sweep.values=[0.5, 1.0]"],
+    ], ids=["axis", "systems", "nested-systems", "erasure-rate-values"])
+    def test_bad_sweep_key_exits_2_before_any_file(self, workdir, capsys, bad):
+        """A bad sweep.* value is a config error in a fresh directory, not a
+        complaint about the missing vocabulary."""
+        tmp, out, base = workdir
+        code = run(["sweep"] + base + bad)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert not out.exists()
+
 
 NUMERIC_KEYS = sorted(key for key, value in DEFAULTS.items() if type(value) in (int, float))
 YAML_SPELLINGS = ["1e-9", "1e400", "-1e400", ".nan", ".inf", "-.inf", "0x10", "1_000",
@@ -588,7 +604,7 @@ class TestEmbedCommand:
         grouped = model.encode_sentences(sents)
         assert len(grouped) == len(sents)
         for row, sent in zip(grouped, sents):
-            assert np.array_equal(row, model.encode(sent.ids, "deterministic"))
+            assert np.array_equal(row, model.encode(sent.ids))
 
     def test_single_sentence_domain_error(self, workdir, capsys):
         tmp, out, base = self._prepare_model(workdir)
@@ -604,6 +620,7 @@ class TestVocabularyMismatch:
     in every command that loads one, in either direction."""
 
     COMMANDS = {
+        "train": lambda tmp, ckpt: ["train", "--set", "train.epochs=1", "--resume", ckpt],
         "transmit": lambda tmp, ckpt: ["transmit", "--sentence", "the cat sat on the mat .",
                                        "--system", "deep", "--checkpoint", ckpt],
         "sweep": lambda tmp, ckpt: ["sweep", "--set", "sweep.systems=[deep]",

@@ -20,6 +20,13 @@ from textjscc.model import (
 from textjscc.nn import softmax
 
 
+def encoder_output(model, ids_batch):
+    """The encoder's real-valued (bits, B) output, the binarizer's expectation."""
+    xs, _ = model._embed_steps(np.asarray(ids_batch))
+    h_star, c_star, _ = model._encoder_forward(xs)
+    return np.concatenate([h_star, c_star], axis=0)
+
+
 def tiny_config(**overrides):
     base = dict(vocab_size=12, embed_dim=6, encoder_stacks=2, encoder_hidden=5,
                 decoder_stacks=2, decoder_hidden=7, bits=8, beam_width=2,
@@ -92,34 +99,35 @@ class TestEncode:
     def test_codeword_contract(self):
         model = JsccModel(tiny_config(), seed=0)
         for ids in ([4], [4, 5, 6], [4, 5, 6, 7, 8, 9]):
-            cw = model.encode(ids, "deterministic")
+            cw = model.encode(ids)
             assert cw.shape == (8,)
             assert set(np.unique(cw)) <= {-1, 1}
 
     def test_deterministic_is_pure(self):
         model = JsccModel(tiny_config(), seed=0)
-        a = model.encode([4, 5], "deterministic")
-        b = model.encode([4, 5], "deterministic")
+        a = model.encode([4, 5])
+        b = model.encode([4, 5])
         assert np.array_equal(a, b)
 
     def test_stochastic_expectation_consistent(self):
-        """Mean stochastic codeword approaches the expectation-mode values."""
+        """Mean training codeword approaches the encoder's real-valued output."""
         model = JsccModel(tiny_config(), seed=0)
-        real = model.encode([4, 5, 6], "expectation")
-        rng = np.random.default_rng(0)
-        draws = np.stack([model.encode([4, 5, 6], "stochastic", rng)
-                          for _ in range(4000)])
-        assert np.allclose(draws.mean(axis=0), real, atol=0.06)
+        real = encoder_output(model, [[4, 5, 6]])[:, 0]
+        bits, _ = model.encode_training(np.tile([4, 5, 6], (4000, 1)),
+                                        np.random.default_rng(0))
+        assert np.allclose(bits.mean(axis=1), real, atol=0.06)
 
     def test_expectation_mode_in_range(self):
+        """The encoder's real output lies in [-1, 1] and encode sends its sign."""
         model = JsccModel(tiny_config(), seed=0)
-        real = model.encode([4, 5], "expectation")
+        real = encoder_output(model, [[4, 5]])[:, 0]
         assert real.shape == (8,)
         assert np.all(np.abs(real) <= 1.0)
+        assert np.array_equal(model.encode([4, 5]), binarize_deterministic(real))
 
     def test_length_independent_of_sentence(self):
         model = JsccModel(tiny_config(), seed=1)
-        lengths = {model.encode(list(range(4, 4 + m)), "deterministic").size
+        lengths = {model.encode(list(range(4, 4 + m))).size
                    for m in (1, 3, 6)}
         assert lengths == {8}
 
@@ -177,7 +185,7 @@ class TestEncoderTopStep:
         def run():
             model = JsccModel(config, seed=3)
             rng = np.random.default_rng(5)
-            expectation = model.encode_batch(ids, "expectation")
+            expectation = encoder_output(model, ids)
             bits, enc_cache = model.encode_training(ids, rng)
             loss, dec_cache = model.decode_teacher_forced(
                 bits.astype(config.dtype), targets, 0.5, rng)
@@ -266,7 +274,7 @@ class TestDecodeTeacherForced:
     def test_pure_teacher_forcing_inputs(self):
         model = JsccModel(tiny_config(), seed=0)
         targets = np.array([[4, 5, 6, EOS_ID]])
-        obs = model.encode([4, 5, 6], "deterministic")[:, None]
+        obs = model.encode([4, 5, 6])[:, None]
         _, cache = model.decode_teacher_forced(obs, targets, tf_prob=1.0)
         inputs_used = cache[3]
         assert [int(v[0]) for v in inputs_used] == [SOS_ID, 4, 5, 6]
@@ -274,7 +282,7 @@ class TestDecodeTeacherForced:
     def test_self_feeding_inputs_are_argmax(self):
         model = JsccModel(tiny_config(), seed=0)
         targets = np.array([[4, 5, 6, EOS_ID]])
-        obs = model.encode([4, 5, 6], "deterministic")[:, None]
+        obs = model.encode([4, 5, 6])[:, None]
         rng = np.random.default_rng(0)
         _, cache = model.decode_teacher_forced(obs, targets, 0.0, rng)
         inputs_used = cache[3]
@@ -290,7 +298,7 @@ class TestDecodeTeacherForced:
         model = JsccModel(config, seed=0)
         ids = [4, 5, 6, 7, 8, 9]
         targets = np.array([ids + [EOS_ID]])
-        obs = model.encode(ids, "deterministic")[:, None]
+        obs = model.encode(ids)[:, None]
         loss, _ = model.decode_teacher_forced(obs, targets, 1.0)
         expected = (len(ids) + 1) * math.log(50)
         assert abs(loss - expected) / expected < 0.10
@@ -330,14 +338,14 @@ class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         model = JsccModel(tiny_config(), seed=3)
         for sent in ([4, 5], [6, 7, 8], [9]):
-            obs = model.encode(sent, "deterministic")
+            obs = model.encode(sent)
             greedy = model.greedy_decode_batch(obs[:, None])[0]
             beam = model.beam_search_decode(obs, beam_width=1)
             assert beam == greedy
 
     def test_full_beam_matches_exhaustive(self):
         model = JsccModel(tiny_config(vocab_size=6), seed=5)
-        obs = model.encode([4, 5], "deterministic")
+        obs = model.encode([4, 5])
         table = enumerate_sequences(model, obs, max_len=2)
         best_seq = max(table, key=lambda k: (table[k], ))
         found = model.beam_search_decode(obs, beam_width=6, max_len=2)
@@ -347,7 +355,7 @@ class TestBeamSearch:
         model = JsccModel(tiny_config(), seed=0)
         model.b_out.value[...] = 0.0
         model.b_out.value[EOS_ID, 0] = 50.0
-        obs = model.encode([4, 5, 6], "deterministic")
+        obs = model.encode([4, 5, 6])
         assert model.beam_search_decode(obs, beam_width=3) == []
 
     def test_wider_beam_never_worse(self):
@@ -364,7 +372,7 @@ class TestBeamSearch:
 
         for seed in (0, 1, 2, 3):
             model = JsccModel(tiny_config(vocab_size=8), seed=seed)
-            obs = model.encode([4, 5, 6], "deterministic")
+            obs = model.encode([4, 5, 6])
             scores = []
             for width in (1, 2, 4, 8):
                 tokens = model.beam_search_decode(obs, beam_width=width, max_len=4)
@@ -376,7 +384,7 @@ class TestBeamSearch:
         neither warn on log(0) nor lose its agreement with greedy decoding."""
         model = JsccModel(tiny_config(precision="f32"), seed=3)
         model.W_out.value *= 1e3
-        obs = model.encode([4, 5, 6], "deterministic")
+        obs = model.encode([4, 5, 6])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert model.beam_search_decode(obs, beam_width=1) == \
@@ -385,7 +393,7 @@ class TestBeamSearch:
 
     def test_logp_non_increasing_along_hypothesis(self):
         model = JsccModel(tiny_config(), seed=1)
-        obs = model.encode([4, 5], "deterministic")
+        obs = model.encode([4, 5])
         states, _ = model.decoder_init(obs[:, None])
         total = 0.0
         prev = SOS_ID
@@ -532,7 +540,7 @@ class TestPanelDecode:
             return W @ x
 
         model = JsccModel(tiny_config(decoder_stacks=stacks), seed=0)
-        obs = model.encode([4, 5, 6], "deterministic")
+        obs = model.encode([4, 5, 6])
         monkeypatch.setattr(nn, "matmul", counting)
         monkeypatch.setattr(model_module, "matmul", counting)
         model.beam_search_decode(obs, beam_width=3, max_len=1)

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ class TestGradientCheckHarness:
             assert cache is calls
             calls["backward"] += 1
             for p in params:
-                p.grad += grad_scale * scale * p.value
+                p.accumulate(operator.iadd, grad_scale * scale * p.value)
         return forward, backward, calls
 
     def test_constant_loss(self):

@@ -139,7 +139,7 @@ class TestRunSweep:
         grouped = model.encode_sentences(sents)
         assert len(grouped) == len(sents)
         for row, sent in zip(grouped, sents):
-            assert np.array_equal(row, model.encode(sent.ids, "deterministic"))
+            assert np.array_equal(row, model.encode(sent.ids))
 
     def test_sentence_length_axis(self, corpus):
         _, sents, book = corpus

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from textjscc import checkpoint, nn, training
+from textjscc import model as model_module
 from textjscc.checkpoint import load_for_resume, load_model, save_checkpoint
 from textjscc.config import load_config
 from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
@@ -72,7 +73,7 @@ class TestTrainer:
         logs = trainer.run(toks, plan, 300)
         assert logs[-1].mean_loss < logs[0].mean_loss / 10
         decoded = model.greedy_decode_batch(
-            model.encode_batch(np.array([sent.ids]), "deterministic"))
+            model.encode_batch(np.array([sent.ids])))
         assert decoded[0] == sent.ids
 
     def test_deterministic_given_seed(self):
@@ -282,6 +283,33 @@ class TestCheckpoint:
                 held += sum(m.nbytes + v.nbytes for m, v in zip(state.m, state.v))
             assert peak <= ratio * held, (peak / held, ratio)
             del loaded, model, state
+
+    def test_loading_draws_no_initialization(self, tmp_path, monkeypatch):
+        """The reader fills every array from the file, so it draws no
+        Glorot weights for the blobs to overwrite."""
+        model = small_model(40, seed=3)
+        state = AdamState(model.parameters())
+        rng = np.random.default_rng(0)
+        for m, v in zip(state.m, state.v):
+            m[...] = rng.standard_normal(m.shape)
+            v[...] = rng.random(v.shape)
+        state.t = 7
+        path = str(tmp_path / "model.tjscc")
+        save_checkpoint(path, model, state, {"epoch": 2})
+
+        def draw(*args, **kwargs):
+            pytest.fail("loading drew an initialization")
+        monkeypatch.setattr(nn, "glorot", draw)
+        monkeypatch.setattr(model_module, "glorot", draw)
+        loaded, _ = load_model(path)
+        resumed, adam, epoch = load_for_resume(path, 1e-3, 5.0)
+        assert epoch == 2 and adam.t == 7
+        for got in (loaded, resumed):
+            for p, q in zip(model.parameters(), got.parameters(), strict=True):
+                assert p.name == q.name and np.array_equal(p.value, q.value), q.name
+        for want, got in ((state.m, adam.m), (state.v, adam.v)):
+            for a, b in zip(want, got, strict=True):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("offset,value", [(6, 5), (6, 0), (11, ord("]"))])
     def test_bad_precision_byte_or_header_is_io_error(self, tmp_path, offset, value):
