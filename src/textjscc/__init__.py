@@ -4,7 +4,19 @@ A trainable encoder/decoder with a binary bottleneck, classical separate
 source/channel coding baselines (character Huffman, fixed 5-bit, batched
 LZSS behind Reed-Solomon erasure coding), a channel simulator, and a WER
 evaluation harness.
+
+Importing the package pins BLAS to one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is already set.  BLAS splits some products by thread count,
+so gradients, and with them every trained weight, differ in their last bits
+between thread counts; with one thread, `textjscc train` computes what the
+benchmark measures.  The pin has effect only when numpy has not been loaded
+before the package.
 """
+
+import os
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import classical_mds, hamming_matrix
 from .budget import BudgetedEncoding, encode_batch_with_budget, encode_with_budget

@@ -38,10 +38,3 @@ def classical_mds(D: np.ndarray, dim: int = 2) -> np.ndarray:
     evals, evecs = np.linalg.eigh(B)  # ascending
     lam = np.where(evals > 1e-10 * np.abs(evals).max(), evals, 0.0)
     return evecs[:, ::-1][:, :dim] * np.sqrt(lam[::-1][:dim])
-
-
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of a (n, d) point set."""
-    pts = np.asarray(points, dtype=np.float64)
-    delta = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((delta ** 2).sum(axis=2))

@@ -4,10 +4,11 @@ Subcommands: prepare, train, transmit, sweep, embed, gradcheck.  Every
 command validates its configuration before touching the filesystem, all
 output files are written atomically through fileio.write_atomic, and all
 randomness flows from the single config seed: results are bit-reproducible
-from (config, seed) on one numpy and BLAS build at one BLAS thread count
-(see training).  `transmit` and `sweep` send the baselines through the same
-dispatch (sweeps.encode_group and sweeps.transmit_group), and the system
-names come from sweeps.SYSTEMS.
+from (config, seed) on one numpy and BLAS build at one BLAS thread count,
+which is one unless the environment sets OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS (see training).  `transmit` and `sweep` send the baselines
+through the same dispatch (sweeps.encode_group and sweeps.transmit_group),
+and the system names come from sweeps.SYSTEMS.
 channel.erasure_prob is the channel's p_d: the deep codec is erased at it,
 and a baseline's FecPlan, planned for it, carries it across the channel.
 
@@ -186,7 +187,8 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
                                 "checkpoint", vocab)
         codeword = model.encode(sent.ids)
         obs = erase(codeword, p_d, stream(cfg["seed"], 0))
-        hyp = model.beam_search_decode(obs, cfg["model.beam_width"])
+        hyp = model.beam_search_decode(obs, cfg["model.beam_width"],
+                                       cfg["model.max_decode_len"])
         print(f"codeword bits: {codeword.size}")
         print(f"erasures injected: {int((obs == 0).sum())}")
         print(f"decoded: {detokenize(hyp, vocab)}")

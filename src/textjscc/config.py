@@ -174,7 +174,7 @@ class RunConfig:
             seed=v["seed"], bits_per_sentence=v["model.bits"],
             erasure_rate=v["channel.erasure_prob"],
             fec_mode=v["baseline.fec_mode"], lz_batch=v["baseline.lz_batch"],
-            beam_width=v["model.beam_width"],
+            beam_width=v["model.beam_width"], max_decode_len=v["model.max_decode_len"],
         )
 
 

@@ -9,7 +9,6 @@ charged to any sentence.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Mapping
 
 import numpy as np
@@ -76,11 +75,6 @@ class HuffmanCodebook(CharCode):
             prev_len = length
         super().__init__(codes)
 
-    def expected_length(self, freqs: Mapping[str, int]) -> float:
-        """Mean code length in bits/char under the given frequencies."""
-        total = sum(freqs.values())
-        return sum(n * self.lengths[s] for s, n in freqs.items()) / total
-
 
 def build_huffman(freqs: CharFrequencyTable | Mapping[str, int]) -> HuffmanCodebook:
     """Optimal prefix code lengths via Huffman's algorithm, canonicalized.
@@ -115,13 +109,6 @@ def huffman_encode(text: str, book: HuffmanCodebook) -> np.ndarray:
 
 def huffman_decode(bits: np.ndarray, book: HuffmanCodebook) -> str:
     return book.decode(bits)
-
-
-def entropy_bits(freqs: CharFrequencyTable | Mapping[str, int]) -> float:
-    """Shannon entropy of the character distribution in bits/char."""
-    counts = freqs.counts if isinstance(freqs, CharFrequencyTable) else freqs
-    total = sum(counts.values())
-    return -sum((n / total) * math.log2(n / total) for n in counts.values() if n > 0)
 
 
 def codebook_for_pipeline(freqs: CharFrequencyTable) -> HuffmanCodebook:

@@ -3,9 +3,12 @@
 Token bit format (fully pinned so streams are golden-testable):
   literal: flag 0, then the 8-bit byte;
   match:   flag 1, then 12-bit (offset - 1), then 4-bit (length - 3).
-Window 4096, match lengths 3..18, greedy longest match (nearest offset wins
-ties).  Sentences in a batch are joined with newlines before parsing, which
-is what amortizes the cost across the batch.
+Window 4096, match lengths 3..18.  Greedy parse: each token is the longest
+match that starts within the 4096 bytes before it (the nearest start on a
+tie), else a literal.  Each match is found by searching the window itself, so
+the parse keeps no state between tokens.  Sentences in a batch are joined
+with newlines before parsing, which is what amortizes the cost across the
+batch.
 
 Early exit: given a bit `limit`, the parse stops at the first token whose
 emission takes the stream past `limit` bits and returns None.  Tokens are
@@ -45,42 +48,33 @@ def compress_bytes(data: bytes, limit: int | None = None) -> np.ndarray | None:
     n = len(data)
     cap = sys.maxsize if limit is None else limit
     bits = bytearray()
-    head: dict[bytes, int] = {}
-    prev = [-1] * n
     i = 0
     while i < n:
-        best_len = 0
-        best_off = 0
-        if i + MIN_MATCH <= n:
-            j = head.get(data[i : i + MIN_MATCH], -1)
-            max_len = min(MAX_MATCH, n - i)
-            while j >= 0 and i - j <= WINDOW:
-                length = 0
-                while length < max_len and data[j + length] == data[i + length]:
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best_off = i - j
-                    if length == MAX_MATCH:
-                        break
-                j = prev[j]
-        if best_len >= MIN_MATCH:
+        start = max(0, i - WINDOW)
+        max_len = min(MAX_MATCH, n - i)
+        j = -1
+        length = MIN_MATCH - 1
+        while length < max_len:
+            # a match starts before i and may run on past it
+            found = data.rfind(data[i : i + length + 1], start, i + length)
+            if found < 0:
+                break
+            j, length = found, length + 1
+            while length < max_len and data[j + length] == data[i + length]:
+                length += 1
+        if j >= 0:
+            off = i - j - 1
             bits.append(1)
-            bits += _NIBBLE_BITS[(best_off - 1) >> 8]
-            bits += _BYTE_BITS[(best_off - 1) & 0xFF]
-            bits += _NIBBLE_BITS[best_len - MIN_MATCH]
-            end = i + best_len
+            bits += _NIBBLE_BITS[off >> 8]
+            bits += _BYTE_BITS[off & 0xFF]
+            bits += _NIBBLE_BITS[length - MIN_MATCH]
+            i += length
         else:
             bits.append(0)
             bits += _BYTE_BITS[data[i]]
-            end = i + 1
+            i += 1
         if len(bits) > cap:
             return None
-        for p in range(i, min(end, n - MIN_MATCH + 1)):
-            key = data[p : p + MIN_MATCH]
-            prev[p] = head.get(key, -1)
-            head[key] = p
-        i = end
     return np.frombuffer(bits, dtype=np.uint8)
 
 

@@ -50,6 +50,7 @@ class SweepSpec:
     fec_mode: str = "idealized"
     lz_batch: int = 32
     beam_width: int = 4
+    max_decode_len: int = 32
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -99,7 +100,7 @@ def _eval_deep(model: JsccModel, sents: Sequence[TokenizedSentence], p_d: float,
         wers = []
         for si, (sent, cw) in enumerate(zip(sents, codewords)):
             obs = erase(cw, p_d, stream(spec.seed, axis_idx, sys_idx, trial, si))
-            hyp = model.beam_search_decode(obs, spec.beam_width)
+            hyp = model.beam_search_decode(obs, spec.beam_width, spec.max_decode_len)
             wers.append(wer(sent.ids, hyp))
         trial_means.append(sum(wers) / len(wers))
     return trial_means

@@ -4,8 +4,10 @@ All randomness in epoch e flows from channel.stream(seed, e), so a
 run resumed from a checkpoint continues bit-identically to the unbroken run
 (provided the checkpoint carried the optimizer moments).  Runs are
 bit-reproducible from (config, seed) on one numpy and BLAS build at one BLAS
-thread count: BLAS splits its sums by thread count, so weight gradients
-differ in their last bits between, e.g., OPENBLAS_NUM_THREADS=1 and 2.
+thread count: BLAS splits some sums by thread count, so weight gradients
+differ in their last bits between, e.g., OPENBLAS_NUM_THREADS=1 and 2.  The
+package pins one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+set, so every run that leaves both unset trains the same weights.
 """
 
 from __future__ import annotations

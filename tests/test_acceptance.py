@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from measures import entropy_bits, expected_length, pairwise_distances
 from toy_corpus import make_eval_corpus, make_toy_corpus
 
-from textjscc.analysis import classical_mds, pairwise_distances
+from textjscc.analysis import classical_mds
 from textjscc.budget import encode_with_budget
 from textjscc.channel import erase, stream
 from textjscc.corpus import batch_by_length, build_vocabulary, char_frequencies, tokenize
@@ -21,7 +22,7 @@ from textjscc.errors import DecodeFailure
 from textjscc.fec import RsCode, plan_budget, rs_decode_erasures, rs_encode
 from textjscc.fixed5 import fixed5_decode, fixed5_encode
 from textjscc.gradcheck import run_verification_suite
-from textjscc.huffman import build_huffman, codebook_for_pipeline, entropy_bits, huffman_encode
+from textjscc.huffman import build_huffman, codebook_for_pipeline, huffman_encode
 from textjscc.lzss import lz_compress
 from textjscc.metrics import levenshtein, wer
 from textjscc.model import JsccConfig, JsccModel, binarize_stochastic
@@ -153,11 +154,11 @@ def test_criterion_4_huffman_optimality(eval_corpus):
         size = int(rng.integers(2, 6))
         freqs = {chr(ord("a") + i): int(rng.integers(1, 60)) for i in range(size)}
         book = build_huffman(freqs)
-        if not math.isclose(book.expected_length(freqs), _optimal_expected_length(freqs)):
+        if not math.isclose(expected_length(book, freqs), _optimal_expected_length(freqs)):
             mismatches += 1
     table = char_frequencies(sentences)
     book = build_huffman(table)
-    avg = book.expected_length(table.counts)
+    avg = expected_length(book, table.counts)
     h = entropy_bits(table)
     sandwich = h <= avg < h + 1
     elapsed = time.monotonic() - start

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from textjscc.analysis import classical_mds, hamming_matrix, pairwise_distances
+from measures import pairwise_distances
+from textjscc.analysis import classical_mds, hamming_matrix
 from textjscc.errors import DomainError, ShapeError
 
 

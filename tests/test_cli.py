@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -392,6 +394,41 @@ class TestTrain:
             tracemalloc.stop()
         assert state_bytes <= held[0] < 1.5 * state_bytes, (held, state_bytes)
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="one core: BLAS runs one thread whether or not the "
+                               "environment sets a count, so the pin cannot show")
+    def test_unset_thread_count_trains_the_one_thread_weights(self, tmp_path):
+        """`textjscc train` with no BLAS thread count in the environment
+        writes the weights of a one-thread run.  The model is the smallest
+        found whose products OpenBLAS splits differently on two threads: the
+        product of the output-layer gradient (1024 x 504) with the output
+        weights differs in its last bits, and the second of two Adam steps
+        carries that into the weights."""
+        words = [f"w{i}" for i in range(500)]
+        lines = [" ".join(words[(8 * s + k) % 500] for k in range(8)) for s in range(2048)]
+        (tmp_path / "corpus.txt").write_text("\n".join(lines) + "\n")
+        base = ["--out", str(tmp_path / "runs"), "--set", f"corpus.train={tmp_path}/corpus.txt",
+                "--set", "corpus.vocab_size=504"]
+        assert run(["prepare"] + base) == 0
+        args = ["train", "--set", "train.epochs=1", "--set", "train.wer_sample=0",
+                "--set", "train.batch_size=1024", "--set", "model.embed_dim=4",
+                "--set", "model.encoder_stacks=1", "--set", "model.encoder_hidden=4",
+                "--set", "model.decoder_stacks=1", "--set", "model.decoder_hidden=2",
+                "--set", "model.bits=8"] + base
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        weights = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            proc = subprocess.run([sys.executable, "-m", "textjscc.cli"] + args,
+                                  env=dict(env, **threads), capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            model, _ = load_model(str(tmp_path / "runs" / "model.tjscc"))
+            weights.append(b"".join(p.value.tobytes() for p in model.parameters()))
+        assert weights[0] == weights[1]
+
 
 class TestTransmit:
     def test_fixed5_lossless_round_trip(self, workdir, capsys):
@@ -569,6 +606,40 @@ class TestSweepCommand:
                     "--set", "sweep.trials=1"] + SMALL_MODEL + base) == 0
         rows = json.loads((out / "sweep_bits_per_sentence.json").read_text())
         assert [(r["axis_value"], r["system"]) for r in rows] == [(24, "deep"), (32, "deep")]
+
+
+class TestMaxDecodeLen:
+    """model.max_decode_len from the run config bounds the decoded length in
+    transmit and sweep, over the length saved in the checkpoint."""
+
+    COMMANDS = {
+        "transmit": ["transmit", "--sentence", "the cat sat on the mat .", "--system", "deep"],
+        "sweep": ["sweep", "--set", "sweep.systems=[deep]", "--set", "sweep.values=[24]",
+                  "--set", "sweep.trials=1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_run_config_length_wins(self, workdir, monkeypatch, command):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        assert run(["train", "--set", "train.epochs=0"] + SMALL_MODEL + base) == 0
+        assert load_model(str(out / "model.tjscc"))[0].config.max_decode_len == 32
+        hyps = []
+        decode = JsccModel.beam_search_decode
+
+        def recording(self, *args, **kwargs):
+            hyps.append(decode(self, *args, **kwargs))
+            return hyps[-1]
+
+        monkeypatch.setattr(JsccModel, "beam_search_decode", recording)
+        args = self.COMMANDS[command] + SMALL_MODEL + base
+        if command == "sweep":
+            args += ["--set", f"sweep.checkpoints=[{out / 'model.tjscc'}]"]
+        assert run(args) == 0
+        assert hyps and max(map(len, hyps)) > 1  # the saved length decodes longer
+        hyps.clear()
+        assert run(args + ["--set", "model.max_decode_len=1"]) == 0
+        assert hyps and max(map(len, hyps)) == 1
 
 
 class TestEmbedCommand:

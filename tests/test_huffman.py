@@ -15,10 +15,10 @@ from textjscc.huffman import (
     HuffmanCodebook,
     build_huffman,
     codebook_for_pipeline,
-    entropy_bits,
     huffman_decode,
     huffman_encode,
 )
+from measures import entropy_bits, expected_length
 from toy_corpus import make_eval_corpus, make_toy_corpus
 
 
@@ -62,7 +62,7 @@ class TestBuildHuffman:
             n = rng.integers(2, 6)
             freqs = {chr(ord("a") + i): int(rng.integers(1, 50)) for i in range(n)}
             book = build_huffman(freqs)
-            assert book.expected_length(freqs) == pytest.approx(
+            assert expected_length(book, freqs) == pytest.approx(
                 optimal_expected_length(freqs))
 
     def test_kraft_equality(self):
@@ -73,7 +73,7 @@ class TestBuildHuffman:
         freqs = {"a": 50, "b": 20, "c": 15, "d": 10, "e": 5}
         book = build_huffman(freqs)
         h = entropy_bits(freqs)
-        assert h <= book.expected_length(freqs) < h + 1
+        assert h <= expected_length(book, freqs) < h + 1
 
     def test_deterministic_under_ties(self):
         freqs = {"x": 3, "y": 3, "z": 3, "w": 3}

@@ -152,6 +152,55 @@ class TestReferenceBitExact:
         assert np.array_equal(compress_bytes(data), reference_compress(data))
 
 
+# text over two or three letters and a space: matches of every length, many
+# ties between equally long matches, and matches at the window's far edge
+small_alphabet_text = st.builds(
+    lambda alphabet, n, seed: "".join(
+        np.random.default_rng(seed).choice(list(alphabet), n)).encode(),
+    st.sampled_from(["ab ", "abc "]),
+    st.one_of(st.integers(0, 6000), st.integers(WINDOW + 1, 6000)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestMatchFinder:
+    """Each token is the longest match within WINDOW bytes, the nearest
+    start on a tie, exactly as the hash-chain reference picks it."""
+
+    PHRASE = b"a twenty byte phrase"  # no 3-byte substring occurs twice
+
+    def phrase_at_distance(self, distance):
+        """The phrase, filler that shares no byte with it, and the phrase
+        again, starting `distance` bytes after the first copy."""
+        rng = np.random.default_rng(7)
+        filler = bytes(rng.integers(128, 256, size=distance - len(self.PHRASE)).tolist())
+        return self.PHRASE + filler + self.PHRASE
+
+    def test_match_at_window_distance(self):
+        data = self.phrase_at_distance(WINDOW)
+        bits = compress_bytes(data)
+        assert np.array_equal(bits, reference_compress(data))
+        assert [m for m in matches(bits) if m[0] == WINDOW] == [(WINDOW, MAX_MATCH)]
+        # the match, then the phrase's last two bytes as literals
+        tail = reference_compress(self.PHRASE[MAX_MATCH:])
+        assert np.array_equal(bits[-(17 + tail.size):-tail.size],
+                              [1] + [1] * 12 + [1, 1, 1, 1])
+        assert np.array_equal(bits[-tail.size:], tail)
+
+    def test_no_match_past_window(self):
+        data = self.phrase_at_distance(WINDOW + 1)
+        bits = compress_bytes(data)
+        assert np.array_equal(bits, reference_compress(data))
+        literals = reference_compress(self.PHRASE)
+        assert not matches(literals)
+        assert np.array_equal(bits[-literals.size:], literals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_alphabet_text)
+    def test_small_alphabet_text(self, data):
+        assert np.array_equal(compress_bytes(data), reference_compress(data))
+
+
 class TestBatchApi:
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
