@@ -7,7 +7,9 @@ Each blob: u16 name length, utf-8 name, u32 rows, u32 cols, raw values.
 Model parameters appear first, in declaration order; each LSTM cell is four
 blobs <prefix>.Wx, .Wh, .b and .p in the stacked-gate layout of nn.py.
 Optimizer moments (if saved) follow as adam.m.* / adam.v.* blobs.  TJSCC1
-files, which held fifteen per-gate arrays per cell, are rejected.
+files, which held fifteen per-gate arrays per cell, are rejected.  The json
+records the numpy and BLAS build and the BLAS thread count, on which trained
+weights depend bit for bit; resuming under another, or unrecorded, one warns.
 
 The file is read in one pass: the header is checked, the model's arrays are
 allocated from its config without an initialization draw, and each blob is
@@ -19,6 +21,7 @@ and every array must be filled, so a bad file raises IoError.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import struct
 import sys
@@ -31,13 +34,22 @@ from .model import JsccConfig, JsccModel
 from .optim import AdamState
 
 MAGIC = b"TJSCC2"
+log = logging.getLogger(__name__)
+
+
+def numerical_build() -> dict:
+    """The numpy and BLAS build and the BLAS thread count in effect."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_threads": threads}
 
 
 def save_checkpoint(path: str, model: JsccModel, adam: AdamState | None = None,
                     extra: dict | None = None) -> None:
     """Write params (declaration order) and optionally the optimizer state."""
     meta = {"config": model.config.to_dict(), "extra": dict(extra or {}),
-            "has_adam": adam is not None}
+            "has_adam": adam is not None, "build": numerical_build()}
     if adam is not None:
         meta["extra"]["adam_t"] = adam.t
     payload = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -62,6 +74,7 @@ def _header(path: str, raw: bytes, itemsize: int, left: int) -> tuple[JsccConfig
         config = JsccConfig(**meta["config"])
         extra = dict(meta.get("extra", {}))
         extra["has_adam"] = meta.get("has_adam", False)
+        extra["build"] = meta.get("build")
     except (ValueError, KeyError, TypeError, DomainError) as exc:
         raise IoError(f"checkpoint {path} has a malformed header: {exc}") from exc
     if np.dtype(config.dtype).itemsize != itemsize:
@@ -139,4 +152,9 @@ def load_for_resume(path: str, lr: float, clip: float) -> tuple[JsccModel, AdamS
     """Rebuild what a resumed run continues from: the model, its optimizer
     state (None if the checkpoint saved none) and the last finished epoch."""
     model, state, extra = _load(path, (lr, clip))
+    running = numerical_build()
+    if extra["build"] != running:
+        log.warning("checkpoint %s was written under %s and this run has %s, so it can differ "
+                    "in its last bits from an unbroken run",
+                    path, extra["build"] or "an unrecorded build", running)
     return model, state, extra.get("epoch", 0)

@@ -18,6 +18,12 @@ stacks W_ix, W_fx, W_gx, W_ox; Wh (4h, h) stacks W_ih, W_fh, W_gh, W_oh;
 b (4h, 1) stacks b_i, b_f, b_g, b_o; p (3h, 1) stacks p_i, p_f, p_o.  A step
 takes one product with each of Wx and Wh and reads the gates as row slices.
 
+Caches.  A step's cache holds only what its backward pass reads: x, h_prev,
+c_prev, i, f, g, o and c.  Backward recomputes tanh(c), which gives the same
+bits as the forward pass's.  A BLSTM layer's two directions write h and c
+into their rows of the layer's outputs, so its cached states share memory
+with the returned hs and cs.
+
 Narrow products.  Beam search multiplies every decoder weight by a handful of
 columns, one step at a time.  OpenBLAS multiplies without packing W into its
 blocked layout only when M*N*K <= 10**6 (its small-matrix path); above that
@@ -252,8 +258,9 @@ class LstmCellParams:
         return [self.Wx, self.Wh, self.b, self.p]
 
 
-def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One recurrence step; returns (h, c, cache)."""
+def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+                      h_out: np.ndarray | None = None, c_out: np.ndarray | None = None):
+    """One recurrence step; returns (h, c, cache), h and c written into h_out, c_out if given."""
     if x.shape[0] != p.input_dim:
         raise ShapeError(f"cell input has {x.shape[0]} rows, expected {p.input_dim}")
     if h_prev.shape[0] != p.hidden_dim or c_prev.shape[0] != p.hidden_dim:
@@ -268,12 +275,11 @@ def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_pr
     i = sigmoid(z[:n])
     f = sigmoid(z[n:2 * n])
     g = np.tanh(z[2 * n:3 * n])
-    c = f * c_prev + i * g
+    c = np.add(f * c_prev, i * g, out=c_out)
     z[3 * n:] += peep[2 * n:] * c
     o = sigmoid(z[3 * n:])
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, g, o, c, tc)
+    h = np.multiply(o, np.tanh(c), out=h_out)
+    return h, c, (x, h_prev, c_prev, i, f, g, o, c)
 
 
 def lstm_cell_backward(p: LstmCellParams, cache, dh: np.ndarray, dc_in: np.ndarray):
@@ -283,8 +289,9 @@ def lstm_cell_backward(p: LstmCellParams, cache, dh: np.ndarray, dc_in: np.ndarr
     plus external).  Accumulates parameter gradients and returns
     (dx, dh_prev, dc_prev).
     """
-    x, h_prev, c_prev, i, f, g, o, c, tc = cache
+    x, h_prev, c_prev, i, f, g, o, c = cache
     n = p.hidden_dim
+    tc = np.tanh(c)
     peep = p.p.value
     dzo = dh * tc * o * (1.0 - o)
     dc = dc_in + dh * o * (1.0 - tc * tc) + dzo * peep[2 * n:]
@@ -313,8 +320,9 @@ def _add_peephole_grads(grad: np.ndarray, dz: np.ndarray, c_prev: np.ndarray,
     grad[2 * n:] += (dz[3 * n:] * c).sum(axis=1, keepdims=True)
 
 
-def lstm_run(p: LstmCellParams, xs: list[np.ndarray]):
-    """Run the cell over a sequence from zero state; returns (hs, cs, caches)."""
+def lstm_run(p: LstmCellParams, xs: list[np.ndarray], out=None):
+    """Run the cell over a sequence from zero state; returns (hs, cs, caches).
+    Step t writes its h and c into the pair of arrays out[t] when given."""
     if not xs:
         raise EmptySequence("lstm_run needs a nonempty sequence")
     batch = xs[0].shape[1]
@@ -322,8 +330,8 @@ def lstm_run(p: LstmCellParams, xs: list[np.ndarray]):
     h = np.zeros((p.hidden_dim, batch), dtype=dtype)
     c = np.zeros((p.hidden_dim, batch), dtype=dtype)
     hs, cs, caches = [], [], []
-    for x in xs:
-        h, c, cache = lstm_cell_forward(p, x, h, c)
+    for t, x in enumerate(xs):
+        h, c, cache = lstm_cell_forward(p, x, h, c, *(out[t] if out else ()))
         hs.append(h)
         cs.append(c)
         caches.append(cache)
@@ -347,16 +355,17 @@ def lstm_run_backward(p: LstmCellParams, caches, dhs, dcs):
 
 
 def blstm_layer_forward(fwd: LstmCellParams, bwd: LstmCellParams, xs: list[np.ndarray]):
-    """Bidirectional layer: per-step output and cell state are concatenations
-    of the two directions, so both have 2 * hidden_dim rows."""
+    """Bidirectional layer: per-step h and c have 2 * hidden_dim rows, the
+    forward direction's then the backward's, each written in place (see Caches)."""
     if not xs:
         raise EmptySequence("BLSTM input sequence is empty")
-    hs_f, cs_f, caches_f = lstm_run(fwd, xs)
-    hs_br, cs_br, caches_b = lstm_run(bwd, xs[::-1])
-    hs_b, cs_b = hs_br[::-1], cs_br[::-1]
-    hs = [np.concatenate([hf, hb], axis=0) for hf, hb in zip(hs_f, hs_b)]
-    cs = [np.concatenate([cf, cb], axis=0) for cf, cb in zip(cs_f, cs_b)]
-    return hs, cs, (caches_f, caches_b, fwd.hidden_dim)
+    n = fwd.hidden_dim
+    dtype = np.result_type(fwd.Wx.value, xs[0])
+    hs = [np.empty((n + bwd.hidden_dim, xs[0].shape[1]), dtype) for _ in xs]
+    cs = [np.empty_like(h) for h in hs]
+    _, _, caches_f = lstm_run(fwd, xs, [(h[:n], c[:n]) for h, c in zip(hs, cs)])
+    _, _, caches_b = lstm_run(bwd, xs[::-1], [(h[n:], c[n:]) for h, c in zip(hs[::-1], cs[::-1])])
+    return hs, cs, (caches_f, caches_b, n)
 
 
 def blstm_layer_backward(fwd: LstmCellParams, bwd: LstmCellParams, cache, dhs, dcs):

@@ -85,9 +85,11 @@ class Trainer:
                 f"non-finite loss {loss} at epoch {epoch}, batch {batch_idx}, "
                 f"previous step's grad norm {norm}")
         d_obs = model.decode_backward(dec_cache)
+        del dec_cache  # the decoder's activations would otherwise outlive encode_backward
         # erased bits had no effect on the loss; survivors pass the gradient
         survive = (obs != 0).astype(d_obs.dtype)
         model.encode_backward(enc_cache, d_obs * survive)
+        del enc_cache  # adam_step reads only gradients, never the encoder's activations
         self.last_grad_norm = adam_step(self.adam)
         return loss
 

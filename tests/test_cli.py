@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -351,6 +352,30 @@ class TestTrain:
         resumed, _ = load_model(str(out / "model.tjscc"))
         for p, q in zip(straight.parameters(), resumed.parameters()):
             assert np.array_equal(p.value, q.value), p.name
+
+    def test_resume_warns_once_when_the_build_differs(self, workdir, caplog):
+        """`train --resume` says nothing under the build that wrote the
+        checkpoint, and logs one warning line under another."""
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3", "--set", "train.epochs=1"] + SMALL_MODEL + base
+        assert run(args) == 0
+        mid = out / "mid.tjscc"
+        os.replace(str(out / "model.tjscc"), mid)
+        caplog.set_level(logging.INFO)
+        assert run(args + ["--resume", str(mid)]) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        data = mid.read_bytes()
+        (json_len,) = struct.unpack_from("<I", data, 7)
+        meta = json.loads(data[11:11 + json_len])
+        meta["build"]["numpy"] = "1.0.0"
+        header = json.dumps(meta).encode("utf-8")
+        mid.write_bytes(data[:7] + struct.pack("<I", len(header)) + header
+                        + data[11 + json_len:])
+        caplog.clear()
+        assert run(args + ["--resume", str(mid)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and str(mid) in warnings[0] and "'1.0.0'" in warnings[0]
 
     @pytest.mark.parametrize("epochs, every, saves", [(4, 2, 2), (3, 2, 2), (0, 1, 1)])
     def test_final_checkpoint_written_once(self, workdir, monkeypatch, epochs, every, saves):

@@ -219,6 +219,28 @@ class TestBlstm:
     def test_gradcheck(self):
         assert check_blstm(0) < 1e-4
 
+    def test_cached_states_share_memory_with_the_outputs(self):
+        """Each direction writes h and c into its rows of the layer's
+        outputs, so every state its caches hold is a view of hs or cs."""
+        rng = np.random.default_rng(5)
+        fwd = LstmCellParams(2, 3, rng, np.float32, "f")
+        bwd = LstmCellParams(2, 3, rng, np.float32, "b")
+        xs = [rng.normal(size=(2, 4)).astype(np.float32) for _ in range(5)]
+        hs, cs, (caches_f, caches_b, n) = blstm_layer_forward(fwd, bwd, xs)
+        T = len(xs)
+        # a cache is (x, h_prev, c_prev, i, f, g, o, c); step 0 starts from zeros
+        for t in range(T):
+            _, h_prev, c_prev, *_, c = caches_f[t]
+            assert np.shares_memory(c, cs[t]) and np.array_equal(c, cs[t][:n])
+            if t > 0:
+                assert np.shares_memory(h_prev, hs[t - 1]) and np.shares_memory(c_prev, cs[t - 1])
+        for k in range(T):
+            _, h_prev, c_prev, *_, c = caches_b[k]
+            t = T - 1 - k
+            assert np.shares_memory(c, cs[t]) and np.array_equal(c, cs[t][n:])
+            if k > 0:
+                assert np.shares_memory(h_prev, hs[t + 1]) and np.shares_memory(c_prev, cs[t + 1])
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):

@@ -1,4 +1,6 @@
 import json
+import logging
+import os
 import re
 import struct
 import sys
@@ -11,11 +13,11 @@ from textjscc import checkpoint, nn, training
 from textjscc import model as model_module
 from textjscc.checkpoint import load_for_resume, load_model, save_checkpoint
 from textjscc.config import load_config
-from textjscc.corpus import batch_by_length, build_vocabulary, tokenize
+from textjscc.corpus import EOS_ID, batch_by_length, build_vocabulary, tokenize
 from textjscc.errors import EmptyCorpus, IoError, NumericalError
 from textjscc.gradcheck import run_verification_suite
 from textjscc.model import JsccConfig, JsccModel
-from textjscc.optim import AdamState
+from textjscc.optim import AdamState, adam_step
 from textjscc.training import Trainer, TrainSettings, tf_schedule
 
 EVERY_SUM_INLINE = 2**62
@@ -369,6 +371,91 @@ class TestCheckpoint:
         assert again.parameters()[0].value.dtype == np.float64
 
 
+def read_header(path):
+    data = path.read_bytes()
+    (json_len,) = struct.unpack_from("<I", data, 7)
+    return json.loads(data[11:11 + json_len])
+
+
+class TestBuildRecord:
+    """The header records the numerical build; resuming under another one,
+    or from a file that records none, logs one warning line."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        model = small_model(40, seed=3)
+        state = AdamState(model.parameters())
+        rng = np.random.default_rng(1)
+        for m, v in zip(state.m, state.v):
+            m[...] = rng.standard_normal(m.shape)
+            v[...] = rng.random(v.shape)
+        state.t = 4
+        path = tmp_path / "model.tjscc"
+        save_checkpoint(str(path), model, state, {"epoch": 2})
+        return model, state, path
+
+    @staticmethod
+    def _resume(path, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            resumed = load_for_resume(str(path), 1e-3, 5.0)
+        return resumed, [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_header_records_the_running_build(self, tmp_path):
+        _, _, path = self._saved(tmp_path)
+        build = read_header(path)["build"]
+        assert build == checkpoint.numerical_build()
+        assert build["numpy"] == np.__version__
+        assert build["blas"] and build["blas_version"]
+        assert build["blas_threads"] == os.environ.get(
+            "OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+
+    def test_equal_record_logs_nothing(self, tmp_path, caplog):
+        _, _, path = self._saved(tmp_path)
+        _, warnings = self._resume(path, caplog)
+        assert warnings == []
+
+    @pytest.mark.parametrize("key,value", [("numpy", "1.0.0"), ("blas", "reference"),
+                                           ("blas_version", "0.0.1")])
+    def test_differing_record_logs_one_line(self, tmp_path, caplog, key, value):
+        _, _, path = self._saved(tmp_path)
+        rewrite_header(path, lambda meta: meta["build"].__setitem__(key, value))
+        _, warnings = self._resume(path, caplog)
+        assert len(warnings) == 1 and len(warnings[0].splitlines()) == 1
+        assert str(path) in warnings[0] and repr(value) in warnings[0]
+
+    def test_differing_thread_count_logs_one_line(self, tmp_path, caplog, monkeypatch):
+        """The record reads the thread count from the environment, as
+        OpenBLAS did when it loaded."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        _, _, path = self._saved(tmp_path)
+        assert read_header(path)["build"]["blas_threads"] == "1"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        _, warnings = self._resume(path, caplog)
+        assert len(warnings) == 1
+        assert "'blas_threads': '1'" in warnings[0] and "'blas_threads': '2'" in warnings[0]
+
+    def test_file_without_a_record_loads_and_logs_one_line(self, tmp_path, caplog):
+        """A file written before the record existed loads the same arrays;
+        resuming from it says once that its build is unrecorded."""
+        model, state, path = self._saved(tmp_path)
+        rewrite_header(path, lambda meta: meta.pop("build"))
+        assert set(read_header(path)) == {"config", "extra", "has_adam"}
+        (resumed, adam, epoch), warnings = self._resume(path, caplog)
+        assert len(warnings) == 1 and "an unrecorded build" in warnings[0]
+        assert str(path) in warnings[0]
+        caplog.clear()
+        loaded, _ = load_model(str(path))
+        assert not caplog.records
+        assert epoch == 2 and adam.t == 4
+        for got in (loaded, resumed):
+            for p, q in zip(model.parameters(), got.parameters(), strict=True):
+                assert p.name == q.name and np.array_equal(p.value, q.value), q.name
+        for want, got in ((state.m, adam.m), (state.v, adam.v)):
+            for a, b in zip(want, got, strict=True):
+                assert np.array_equal(a, b)
+
+
 class TestNumericalGuard:
     def test_non_finite_loss_raises(self):
         vocab, toks = toy_corpus()
@@ -539,3 +626,166 @@ class TestGradientWorker:
         codewords = model.encode_sentences(toks)
         model.beam_search_decode(codewords[0].astype(np.float32))
         assert nn._worker is None and not nn._pending
+
+
+# Frozen copies of the cell and layer as they were when every step cached
+# tanh(c) and each BLSTM step concatenated freshly allocated direction outputs.
+def cached_tanh_cell_forward(p, x, h_prev, c_prev):
+    n = p.hidden_dim
+    peep = p.p.value
+    z = nn.matmul(p.Wx.value, x)
+    z += nn.matmul(p.Wh.value, h_prev)
+    z += p.b.value
+    z[:n] += peep[:n] * c_prev
+    z[n:2 * n] += peep[n:2 * n] * c_prev
+    i = nn.sigmoid(z[:n])
+    f = nn.sigmoid(z[n:2 * n])
+    g = np.tanh(z[2 * n:3 * n])
+    c = f * c_prev + i * g
+    z[3 * n:] += peep[2 * n:] * c
+    o = nn.sigmoid(z[3 * n:])
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, g, o, c, tc)
+
+
+def cached_tanh_cell_backward(p, cache, dh, dc_in):
+    x, h_prev, c_prev, i, f, g, o, c, tc = cache
+    n = p.hidden_dim
+    peep = p.p.value
+    dzo = dh * tc * o * (1.0 - o)
+    dc = dc_in + dh * o * (1.0 - tc * tc) + dzo * peep[2 * n:]
+    dz = np.concatenate([dc * g * i * (1.0 - i),
+                         dc * c_prev * f * (1.0 - f),
+                         dc * i * (1.0 - g * g),
+                         dzo])
+    dzi, dzf = dz[:n], dz[n:2 * n]
+    p.Wx.accumulate(nn.add_product, dz, x)
+    p.Wh.accumulate(nn.add_product, dz, h_prev)
+    p.b.accumulate(nn.add_row_sums, dz)
+    p.p.accumulate(nn._add_peephole_grads, dz, c_prev, c)
+    dx = p.Wx.value.T @ dz
+    dh_prev = p.Wh.value.T @ dz
+    dc_prev = dc * f + dzi * peep[:n] + dzf * peep[n:2 * n]
+    return dx, dh_prev, dc_prev
+
+
+def cached_tanh_run(p, xs):
+    h = np.zeros((p.hidden_dim, xs[0].shape[1]), dtype=p.Wx.value.dtype)
+    c = np.zeros_like(h)
+    hs, cs, caches = [], [], []
+    for x in xs:
+        h, c, cache = cached_tanh_cell_forward(p, x, h, c)
+        hs.append(h)
+        cs.append(c)
+        caches.append(cache)
+    return hs, cs, caches
+
+
+def concatenating_blstm_forward(fwd, bwd, xs):
+    hs_f, cs_f, caches_f = cached_tanh_run(fwd, xs)
+    hs_br, cs_br, caches_b = cached_tanh_run(bwd, xs[::-1])
+    hs_b, cs_b = hs_br[::-1], cs_br[::-1]
+    hs = [np.concatenate([hf, hb], axis=0) for hf, hb in zip(hs_f, hs_b)]
+    cs = [np.concatenate([cf, cb], axis=0) for cf, cb in zip(cs_f, cs_b)]
+    return hs, cs, (caches_f, caches_b, fwd.hidden_dim)
+
+
+def equal_length_batch(vocab, length=6, rows=5):
+    """A (rows, length) id batch and its EOS-terminated targets."""
+    ids = np.array([tokenize(" ".join(f"w{(7 * r + k) % 30}" for k in range(length)), vocab).ids
+                    for r in range(rows)], dtype=np.int64)
+    return ids, np.concatenate([ids, np.full((rows, 1), EOS_ID, dtype=np.int64)], axis=1)
+
+
+class TestStepMemory:
+    @staticmethod
+    def _one_step(monkeypatch):
+        """Loss, gradients, moments and weights after one f32 step with
+        scheduled sampling and erasures, as the optimizer saw them."""
+        vocab, _ = toy_corpus()
+        model = small_model(len(vocab), seed=6)
+        trainer = Trainer(model, TrainSettings(erasure_prob=0.2, seed=5))
+        grads = []
+
+        def capture(state):
+            grads.extend(p.grad.copy() for p in state.params)
+            return adam_step(state)
+        monkeypatch.setattr(training, "adam_step", capture)
+        ids, targets = equal_length_batch(vocab)
+        loss = trainer._step(ids, targets, 0.5, np.random.default_rng(3), 1, 0)
+        state = trainer.adam
+        return (loss, grads, [m.copy() for m in state.m], [v.copy() for v in state.v],
+                [p.value.copy() for p in model.parameters()])
+
+    def test_step_is_bit_identical_to_the_caching_cell(self, monkeypatch):
+        """Recomputing tanh(c) and writing the BLSTM directions in place
+        change no bit of a step: loss, gradients, moments and weights."""
+        new = self._one_step(monkeypatch)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+        frozen = {"lstm_cell_forward": counted(cached_tanh_cell_forward),
+                  "lstm_cell_backward": counted(cached_tanh_cell_backward),
+                  "lstm_run": cached_tanh_run,
+                  "blstm_layer_forward": counted(concatenating_blstm_forward)}
+        for module in (nn, model_module):
+            for name, fn in frozen.items():
+                monkeypatch.setattr(module, name, fn)
+        old = self._one_step(monkeypatch)
+        assert calls.count("concatenating_blstm_forward") == 1  # the lower encoder layer
+        assert {"cached_tanh_cell_forward", "cached_tanh_cell_backward"} <= set(calls)
+        assert new[0] == old[0]
+        for new_arrays, old_arrays in zip(new[1:], old[1:], strict=True):
+            assert len(new_arrays) == len(old_arrays) > 0
+            for a, b in zip(new_arrays, old_arrays, strict=True):
+                assert a.dtype == np.float32 and np.array_equal(a, b)
+
+    @staticmethod
+    def _traced_step(monkeypatch):
+        """Memory traced over one step at the entry and exit of its parts.  A
+        large vocabulary makes the decoder's per-step logit gradients
+        outweigh the encoder's caches."""
+        # a queued gradient job holds its arrays until it runs
+        monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", EVERY_SUM_INLINE)
+        vocab, _ = toy_corpus()
+        config = JsccConfig(vocab_size=2000, embed_dim=16, encoder_stacks=2, encoder_hidden=24,
+                            decoder_stacks=2, decoder_hidden=24, bits=32, max_decode_len=10)
+        trainer = Trainer(JsccModel(config, seed=2), TrainSettings(erasure_prob=0.1, seed=1))
+        ids, targets = equal_length_batch(vocab, length=8, rows=32)
+        rng = np.random.default_rng(0)
+        trainer._step(ids, targets, 1.0, rng, 1, 0)  # allocates the gradients
+        traced = {}
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                traced[name, "entry"] = tracemalloc.get_traced_memory()[0]
+                out = fn(*args)
+                traced[name, "exit"] = tracemalloc.get_traced_memory()[0]
+                return out
+            return wrapper
+        for name in ("encode_training", "decode_teacher_forced", "encode_backward"):
+            monkeypatch.setattr(JsccModel, name, recorded(name, getattr(JsccModel, name)))
+        monkeypatch.setattr(training, "adam_step", recorded("adam_step", training.adam_step))
+        tracemalloc.start()
+        try:
+            trainer._step(ids, targets, 1.0, rng, 1, 1)
+        finally:
+            tracemalloc.stop()
+        encoder = traced["encode_training", "exit"] - traced["encode_training", "entry"]
+        decoder = (traced["decode_teacher_forced", "exit"]
+                   - traced["decode_teacher_forced", "entry"])
+        assert decoder > encoder > 0
+        return traced, encoder, decoder
+
+    def test_decoder_caches_are_freed_before_encode_backward(self, monkeypatch):
+        traced, _, decoder = self._traced_step(monkeypatch)
+        assert traced["encode_backward", "entry"] < decoder, (traced, decoder)
+
+    def test_encoder_caches_are_freed_before_adam_step(self, monkeypatch):
+        traced, encoder, _ = self._traced_step(monkeypatch)
+        assert traced["adam_step", "entry"] < encoder, (traced, encoder)
