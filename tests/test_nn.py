@@ -4,6 +4,7 @@ import operator
 import numpy as np
 import pytest
 
+from textjscc import nn
 from textjscc.errors import EmptySequence, NumericalError, ShapeError
 from textjscc.gradcheck import (
     check_blstm,
@@ -21,6 +22,7 @@ from textjscc.nn import (
     dense_backward,
     dense_forward,
     glorot,
+    glorot_into,
     lstm_cell_forward,
     matmul,
     softmax,
@@ -156,6 +158,27 @@ class TestLstmCell:
         bias = np.zeros((4 * n, 1), dtype=np.float32)
         bias[n:2 * n] = 1.0
         assert np.array_equal(cell.b.value, bias)
+
+
+class TestGlorot:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 3), (7, 1), (1, 1), (300, 17), (128, 128), (2048, 200),
+                                       (1, nn.GLOROT_CHUNK + 1), (3, nn.GLOROT_CHUNK)])
+    def test_equals_uniform_draw_and_leaves_the_same_state(self, shape, dtype):
+        """Chunked draws equal one float64 uniform draw cast to dtype."""
+        fan_out, fan_in = shape
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+        want = ref_rng.uniform(-r, r, size=shape).astype(dtype)
+        got = glorot(shape, rng, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_fills_rows_of_a_larger_array_in_place(self):
+        whole = np.full((6, 5), 7.0, np.float32)
+        glorot_into(whole[2:4], np.random.default_rng(2))
+        assert np.array_equal(whole[2:4], glorot((2, 5), np.random.default_rng(2), np.float32))
+        assert np.all(whole[:2] == 7.0) and np.all(whole[4:] == 7.0)
 
 
 class TestBlstm:

@@ -4,6 +4,8 @@ import os
 import re
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from textjscc.optim import AdamState, adam_step
 from textjscc.training import Trainer, TrainSettings, tf_schedule
 
 EVERY_SUM_INLINE = 2**62
+NO_HANDOFF = 2**62
 REAL_INLINE_ELEMENTS = nn.INLINE_GRAD_ELEMENTS
 
 
@@ -302,6 +305,7 @@ class TestCheckpoint:
         def draw(*args, **kwargs):
             pytest.fail("loading drew an initialization")
         monkeypatch.setattr(nn, "glorot", draw)
+        monkeypatch.setattr(nn, "glorot_into", draw)
         monkeypatch.setattr(model_module, "glorot", draw)
         loaded, _ = load_model(path)
         resumed, adam, epoch = load_for_resume(path, 1e-3, 5.0)
@@ -789,3 +793,119 @@ class TestStepMemory:
     def test_encoder_caches_are_freed_before_adam_step(self, monkeypatch):
         traced, encoder, _ = self._traced_step(monkeypatch)
         assert traced["adam_step", "entry"] < encoder, (traced, encoder)
+
+
+def paper_size_step(d, h, columns, dtype, seed):
+    """A cell and step inputs at sizes whose input product runs on the worker."""
+    rng = np.random.default_rng(seed)
+    cell = nn.LstmCellParams(d, h, rng, dtype)
+    x, h_prev, c_prev = (rng.uniform(-1, 1, (rows, columns)).astype(dtype) for rows in (d, h, h))
+    return cell, x, h_prev, c_prev
+
+
+def record_product_threads(monkeypatch):
+    """Names of the threads that run each `nn.matmul` from now on."""
+    names = []
+    matmul = nn.matmul
+
+    def recording(W, x):
+        names.append(threading.current_thread().name)
+        return matmul(W, x)
+    monkeypatch.setattr(nn, "matmul", recording)
+    return names
+
+
+class TestConcurrentStep:
+    """A large step's input product runs on the worker thread, and the step
+    equals the frozen serial cell bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,h,columns", [(200, 512, 4), (512, 512, 1), (200, 256, 128)])
+    def test_step_equals_the_serial_cell(self, monkeypatch, d, h, columns, dtype):
+        cell, x, h_prev, c_prev = paper_size_step(d, h, columns, dtype, seed=d + columns)
+        want = cached_tanh_cell_forward(cell, x, h_prev, c_prev)
+        threads = record_product_threads(monkeypatch)
+        got = nn.lstm_cell_forward(cell, x, h_prev, c_prev)
+        assert sorted(threads) == ["MainThread", "textjscc-worker_0"]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for a, b in zip(got[2], want[2][:8], strict=True):
+            assert a.dtype == dtype and np.array_equal(a, b)
+
+    def test_threads_stepping_at_once_get_their_serial_results(self):
+        """Four threads share the one worker under a short switch interval;
+        a product handed to the wrong caller would break an equality."""
+        steps = [paper_size_step(200, 512, 4, np.float32, seed=k) for k in range(8)]
+        want = [cached_tanh_cell_forward(*step)[:2] for step in steps]
+        errors, done = [], []
+
+        def run(k):
+            try:
+                for rep in range(3):
+                    for j in range(k, len(steps), 2):
+                        h, c, _ = nn.lstm_cell_forward(*steps[j])
+                        if not (np.array_equal(h, want[j][0]) and np.array_equal(c, want[j][1])):
+                            errors.append((k, rep, j))
+                done.append(k)
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k % 2,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(done) == 4
+
+    def test_failing_product_raises_in_the_caller_and_the_next_step_works(self, monkeypatch):
+        step = paper_size_step(200, 512, 4, np.float32, seed=1)
+        want = cached_tanh_cell_forward(*step)
+        error = ValueError("product failed")
+        matmul = nn.matmul
+
+        def failing_on_worker(W, x):
+            if threading.current_thread().name.startswith("textjscc-worker"):
+                raise error
+            return matmul(W, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "matmul", failing_on_worker)
+            with pytest.raises(ValueError) as info:
+                nn.lstm_cell_forward(*step)
+            assert info.value is error
+        h, c, _ = nn.lstm_cell_forward(*step)
+        assert np.array_equal(h, want[0]) and np.array_equal(c, want[1])
+
+    def test_caller_waits_for_the_worker_product_when_its_own_raises(self, monkeypatch):
+        step = paper_size_step(200, 512, 4, np.float32, seed=2)
+        finished = []
+        matmul = nn.matmul
+
+        def slow_worker_failing_caller(W, x):
+            if threading.current_thread().name.startswith("textjscc-worker"):
+                time.sleep(0.05)
+                out = matmul(W, x)
+                finished.append(True)
+                return out
+            raise ValueError("caller's product failed")
+        monkeypatch.setattr(nn, "matmul", slow_worker_failing_caller)
+        with pytest.raises(ValueError, match="caller's product failed"):
+            nn.lstm_cell_forward(*step)
+        assert finished == [True]
+
+    def test_paper_size_beam_search_uses_the_worker_and_keeps_its_tokens(self, monkeypatch):
+        model = JsccModel(load_config().jscc_config(1000), seed=5)
+        obs = np.random.default_rng(4).choice([-1.0, 0.0, 1.0], size=model.config.bits)
+        monkeypatch.setattr(nn, "_worker", None)
+        monkeypatch.setattr(nn, "CONCURRENT_MNK", NO_HANDOFF)
+        serial = model.beam_search_decode(obs, max_len=6)
+        assert nn._worker is None
+        monkeypatch.undo()
+        monkeypatch.setattr(nn, "_worker", None)
+        threads = record_product_threads(monkeypatch)
+        assert model.beam_search_decode(obs, max_len=6) == serial
+        assert "textjscc-worker_0" in threads
+        nn._worker.shutdown()
