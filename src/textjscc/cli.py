@@ -6,7 +6,8 @@ output files are written atomically through fileio.write_atomic, and all
 randomness flows from the single config seed: results are bit-reproducible
 from (config, seed) on one numpy and BLAS build at one BLAS thread count,
 which is one unless the environment sets OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS (see training).  `transmit` and `sweep` send the baselines
+OMP_NUM_THREADS, for the same grouping of sentences into encoder batches
+(see training).  `transmit` and `sweep` send the baselines
 through the same dispatch (sweeps.encode_group and sweeps.transmit_group),
 and the system names come from sweeps.SYSTEMS.
 channel.erasure_prob is the channel's p_d: the deep codec is erased at it,

@@ -26,6 +26,7 @@ Inference has one search, `JsccModel._beam_search`, over the columns of a
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -423,46 +424,59 @@ class JsccModel:
         states, _ = self.decoder_init(obs)
         n = states[0][0].shape[1]
         prefixes: list[list[list[int]]] = [[[]] for _ in range(n)]
-        # running totals stay float64 in f32 models too
-        logps = [np.zeros(1) for _ in range(n)]
+        logps: list[list[float]] = [[0.0] for _ in range(n)]
         finished: list[list[tuple[list[int], float]]] = [[] for _ in range(n)]
         searching = list(range(n))
         last = [SOS_ID] * n
+        live = np.zeros(n)  # each column's running total, float64 in f32 models too
         for _ in range(max_len):
             logits, new_states, _ = self._decoder_step(self.embed.value[last].T, states)
             # one contiguous row per hypothesis
-            z = log_softmax(np.ascontiguousarray(logits.T), axis=1)
-            keep, last, still, row = [], [], [], 0
+            scores = live[:, None] + log_softmax(np.ascontiguousarray(logits.T), axis=1)
+            # One partition finds each sentence's beam_width-th best total over
+            # its rows, or each row's own when sentences hold unequal numbers
+            # of hypotheses (a superset); only candidates at or above it go to
+            # the exact key.
+            if beam_width == 1:
+                flat = scores.argmax(axis=1) + np.arange(0, scores.size, vocab)
+            else:
+                k = len(prefixes[searching[0]])
+                blocks = scores
+                if all(len(prefixes[s]) == k for s in searching):
+                    blocks = scores.reshape(len(searching), k * vocab)
+                kth = max(blocks.shape[1] - beam_width, 0)
+                flat = np.flatnonzero(blocks >= np.partition(blocks, kth, axis=1)[:, kth, None])
+            found = scores.ravel()[flat].tolist()
+            rows, tokens = (a.tolist() for a in np.divmod(flat, vocab))
+            keep, last, still, totals, row, start = [], [], [], [], 0, 0
             for s in searching:
                 prefix = prefixes[s]
-                # index = hypothesis * vocab + token
-                scores = (logps[s][:, None] + z[row:row + len(prefix)]).ravel()
-                kth = max(scores.size - beam_width, 0)  # the beam_width-th best score
-                pool = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
-                ranked = sorted(zip(scores[pool].tolist(), (pool % vocab).tolist(),
-                                    (pool // vocab).tolist()),
-                                key=lambda c: (-c[0], c[1], prefix[c[2]]))[:beam_width]
-                cols, alive, totals = [], [], []
-                for total, v, parent in ranked:
+                end = bisect_left(rows, row + len(prefix), start)
+                ranked = sorted(zip(found[start:end], tokens[start:end], rows[start:end]),
+                                key=lambda c: (-c[0], c[1], prefix[c[2] - row]))[:beam_width]
+                cols, alive, kept = [], [], []
+                for total, v, r in ranked:
                     if v == EOS_ID:
-                        finished[s].append((prefix[parent], total))
+                        finished[s].append((prefix[r - row], total))
                     else:
-                        cols.append(row + parent)
-                        alive.append(prefix[parent] + [v])
-                        totals.append(total)
-                row += len(prefix)
-                prefixes[s], logps[s] = alive, np.array(totals)
-                if alive and not (finished[s] and max(t for _, t in finished[s]) >= totals[0]):
+                        cols.append(r)
+                        alive.append(prefix[r - row] + [v])
+                        kept.append(total)
+                row, start = row + len(prefix), end
+                prefixes[s], logps[s] = alive, kept
+                if alive and not (finished[s] and max(t for _, t in finished[s]) >= kept[0]):
                     still.append(s)
                     keep += cols
                     last += [p[-1] for p in alive]
+                    totals += kept
             searching = still
             if not searching:
                 break
             states = [(h[:, keep], c[:, keep]) for h, c in new_states]
+            live = np.array(totals)
         results = []
         for done, prefix, logp in zip(finished, prefixes, logps):
-            done.extend(zip(prefix, logp.tolist()))
+            done.extend(zip(prefix, logp))
             results.append(max(done, key=lambda f: (f[1], -len(f[0])))[0])
         return results
 

@@ -38,12 +38,18 @@ not pack) or with more than NARROW_COLUMNS columns (which amortize the
 packing) stay plain `W @ x`, so training batches never take the panel path.
 
 Second core.  One worker thread, started by the first job handed to it,
-runs two kinds of job in submission order: weight-gradient sums and the
-input products of large cell steps.  Each of the two threads runs
+reads a `queue.SimpleQueue` and runs two kinds of job in submission order:
+weight-gradient sums and the input products of large cell steps.  A `Job`
+runs its call in the submitter's context (so under its `np.errstate`) and
+offers `result`, `exception` and `cancel`; `cancel` withdraws a job the
+worker has not started, which then never runs.  So every product handed off
+runs exactly once: on the worker, or by its caller after a `cancel`.  On a
+2-vCPU Xeon an empty handoff and wait took a median 59 us between cell
+steps and 32 us back to back, against 98 and 47 us through the
+`ThreadPoolExecutor` it replaced.  Each of the two threads runs
 single-threaded BLAS under the package's pin, and BLAS releases the GIL, so
-their products overlap.  A job runs in the caller's context (so under its
-`np.errstate`).  A job never runs a forward step: the step would wait for a
-product queued behind itself.
+their products overlap.  A job never runs a forward step: the step would
+wait for a product queued behind itself.
 
 Gradient accumulation.  A backward pass adds every parameter gradient
 through `Parameter.accumulate(fn, *arrays)`.  A parameter with at least
@@ -57,21 +63,39 @@ wait for the queue to empty, and raise the first exception a job raised.
 only its buffer and its arrays, which nothing may write after the call:
 never a parameter's value or a Parameter method.  The queue belongs to the
 process, so one thread at a time may run backward passes and read gradients.
+Gradient jobs are never withdrawn.
 
 Concurrent cell products.  `lstm_cell_forward` hands `Wx @ x` to the worker
-and computes `Wh @ h_prev` meanwhile, then adds them as a serial step does,
-so every bit is the same.  The handoff costs about 50 us, so a step hands
-off only when its smaller product repays it: when
-4h * min(d, h) * max(B, NARROW_COLUMNS) >= CONCURRENT_MNK, for input size d,
-hidden size h and B columns.  A product with at most NARROW_COLUMNS columns
-reads all of W and costs about as much as one with NARROW_COLUMNS.  On a
-2-vCPU Xeon the break-even lay between 4e6 and 6e6, at steps of 150-300 us.
-At the paper config every decoder and training step hands off and runs
-1.2-1.8x faster; one-column encoder steps stay on the caller's thread, and
-inference on toy models starts no thread.  The caller reads the product's
-future even when its own product raises.  A product queued behind pending
-gradient jobs waits its turn; no forward step runs while jobs are pending,
-because `adam_step` and gradient reads wait first.
+and computes `Wh @ h_prev` meanwhile.  Then, if the worker has not started
+the input product, the caller withdraws it and computes it itself; else it
+waits for it.  Either way it adds the two as a serial step does, so every
+bit is the same, and a busy or descheduled worker holds a step up no longer
+than a serial step would take.  When the caller's own product raises, it
+withdraws or waits for the input product but never computes it.  A step
+hands off (`_hands_off`) only when its smaller product repays the handoff:
+when 4h * min(d, h) * max(B, NARROW_COLUMNS) >= CONCURRENT_MNK, for input
+size d, hidden size h and B columns.  A product with at most NARROW_COLUMNS
+columns reads all of W and costs about as much as one with NARROW_COLUMNS.
+On a 2-vCPU Xeon the break-even lay between 4e6 and 6e6, at steps of
+150-300 us.  At the paper config every decoder and training step hands off
+and runs 1.2-1.8x faster; one-column encoder steps do not, and inference on
+toy models starts no thread.  A product queued behind pending gradient jobs
+waits its turn; no forward step runs while jobs are pending, because
+`adam_step` and gradient reads wait first.
+
+Narrow runs.  A run of one column whose steps do not hand off, such as
+every encoder layer of a one-sentence encode at the paper config, takes
+the input products of all its steps as one product, Wx @ [x_1 ... x_T],
+and passes each step its column: Wx is read once per run, not once per
+step.  That product is a matrix product where each step's was a
+matrix-vector one, so its columns differ from the per-step products within
+round-off (at most 2.4e-6 in f32 at the paper's encoder sizes on inputs in
+[-1, 1]), and a sentence's codeword differs from the one per-step products
+give only where a bottleneck input lies that close to 0.  Runs of more columns
+keep one product per step: a column block of a wider product differs from
+the per-step product for many shapes on the same BLAS (in f32 from about
+48 inputs, in f64 from 16), so training batches and grouped encodes keep
+every bit.
 """
 
 from __future__ import annotations
@@ -79,8 +103,8 @@ from __future__ import annotations
 import collections
 import contextvars
 import functools
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -90,18 +114,86 @@ from .errors import EmptySequence, ShapeError
 INLINE_GRAD_ELEMENTS = 2**16  # smaller parameters accumulate on the caller's thread
 GRAD_QUEUE_DEPTH = 8
 
-_worker: ThreadPoolExecutor | None = None
+_claims = threading.Lock()  # makes taking a job's call atomic
+
+
+class Job:
+    """A call handed to the worker thread, run in the submitter's context.
+    It runs at most once: on the worker, unless `cancel` withdraws it first."""
+
+    def __init__(self, fn, args):
+        self._call = functools.partial(contextvars.copy_context().run, fn, *args)
+        self._value = self._error = None
+        self._done = threading.Lock()
+        self._done.acquire()  # released once the job has run or been withdrawn
+
+    def _take(self):
+        """The call, to its first taker only: the worker or `cancel`."""
+        with _claims:
+            call, self._call = self._call, None
+        return call
+
+    def _run(self) -> None:
+        call = self._take()
+        if call is None:
+            return  # withdrawn
+        try:
+            self._value = call()
+        except BaseException as exc:  # raised again by result()
+            self._error = exc
+        finally:
+            self._done.release()
+
+    def cancel(self) -> bool:
+        """Withdraw the job if the worker has not started it; it then never
+        runs, and the caller owns the call.  False once the worker has it."""
+        if self._take() is None:
+            return False
+        self._error = RuntimeError("the job was withdrawn")
+        self._done.release()
+        return True
+
+    def exception(self) -> BaseException | None:
+        """Wait for the job; the exception it raised, or None."""
+        with self._done:
+            return self._error
+
+    def result(self):
+        """Wait for the job; its value, or raise its exception."""
+        error = self.exception()
+        if error is not None:
+            raise error
+        return self._value
+
+
+class Worker:
+    """One daemon thread that runs jobs in submission order."""
+
+    def __init__(self):
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="textjscc-worker", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._jobs.get()._run()
+
+    def submit(self, fn, *args) -> Job:
+        job = Job(fn, args)
+        self._jobs.put(job)
+        return job
+
+
+_worker: Worker | None = None
 _worker_lock = threading.Lock()
 _pending: collections.deque = collections.deque()
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The worker thread's executor, started on first use (see the module
-    docstring)."""
+def _executor() -> Worker:
+    """The worker, started on first use (see the module docstring)."""
     global _worker
     with _worker_lock:
         if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="textjscc-worker")
+            _worker = Worker()
         return _worker
 
 
@@ -148,8 +240,7 @@ class Parameter:
             fn(self._buffer(), *arrays)
             return
         wait_for_gradients(GRAD_QUEUE_DEPTH - 1)
-        _pending.append(_executor().submit(
-            contextvars.copy_context().run, fn, self._buffer(), *arrays))
+        _pending.append(_executor().submit(fn, self._buffer(), *arrays))
 
     @property
     def shape(self):
@@ -305,9 +396,17 @@ class LstmCellParams:
         return [self.Wx, self.Wh, self.b, self.p]
 
 
+def _hands_off(Wx: np.ndarray, hidden: int, columns: int) -> bool:
+    """Whether a step of `columns` columns hands its input product to the
+    worker (see "Concurrent cell products" in the module docstring)."""
+    return len(Wx) * min(Wx.shape[1], hidden) * max(columns, NARROW_COLUMNS) >= CONCURRENT_MNK
+
+
 def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-                      h_out: np.ndarray | None = None, c_out: np.ndarray | None = None):
-    """One recurrence step; returns (h, c, cache), h and c written into h_out, c_out if given."""
+                      h_out: np.ndarray | None = None, c_out: np.ndarray | None = None,
+                      wx: np.ndarray | None = None):
+    """One recurrence step; returns (h, c, cache), h and c written into h_out, c_out if given.
+    wx is the step's input product Wx @ x when a narrow run has taken it."""
     if x.shape[0] != p.input_dim:
         raise ShapeError(f"cell input has {x.shape[0]} rows, expected {p.input_dim}")
     if h_prev.shape[0] != p.hidden_dim or c_prev.shape[0] != p.hidden_dim:
@@ -315,15 +414,20 @@ def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_pr
     n = p.hidden_dim
     peep = p.p.value
     Wx, Wh = p.Wx.value, p.Wh.value
-    if len(Wx) * min(Wx.shape[1], n) * max(x.shape[1], NARROW_COLUMNS) < CONCURRENT_MNK:
+    if wx is not None:
+        z = wx + matmul(Wh, h_prev)
+    elif not _hands_off(Wx, n, x.shape[1]):
         z = matmul(Wx, x)
         z += matmul(Wh, h_prev)
     else:  # see "Concurrent cell products" in the module docstring
-        wx = _executor().submit(contextvars.copy_context().run, matmul, Wx, x)
+        job = _executor().submit(matmul, Wx, x)
         try:
             wh = matmul(Wh, h_prev)
         finally:
-            z = wx.result()
+            reclaimed = job.cancel()
+            if not reclaimed:
+                job.exception()  # on the error path too: the worker is reading x
+        z = matmul(Wx, x) if reclaimed else job.result()
         z += wh
     z += p.b.value
     z[:n] += peep[:n] * c_prev
@@ -385,9 +489,15 @@ def lstm_run(p: LstmCellParams, xs: list[np.ndarray], out=None):
     dtype = p.Wx.value.dtype
     h = np.zeros((p.hidden_dim, batch), dtype=dtype)
     c = np.zeros((p.hidden_dim, batch), dtype=dtype)
+    if batch == 1 and not _hands_off(p.Wx.value, p.hidden_dim, batch):
+        # one input product for the whole run (see "Narrow runs" in the module docstring)
+        wx = matmul(p.Wx.value, np.concatenate(xs, axis=1))
+        wxs = [wx[:, t, None] for t in range(len(xs))]
+    else:
+        wxs = [None] * len(xs)
     hs, cs, caches = [], [], []
     for t, x in enumerate(xs):
-        h, c, cache = lstm_cell_forward(p, x, h, c, *(out[t] if out else ()))
+        h, c, cache = lstm_cell_forward(p, x, h, c, *(out[t] if out else (None, None)), wxs[t])
         hs.append(h)
         cs.append(c)
         caches.append(cache)

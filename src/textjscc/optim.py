@@ -4,13 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .nn import Parameter
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def global_grad_norm(params: list[Parameter]) -> float:
-    return float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
+    """The gradients' joint 2-norm.  When it is not finite in the gradients'
+    dtype (an f32 square overflows from about 1.8e19), the squares are summed
+    again in float64; a norm still not finite raises NumericalError naming
+    the parameter with the largest sum, a NaN counting as the largest."""
+    norm = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
+    if np.isfinite(norm):
+        return norm
+    sums = [float(np.square(p.grad, dtype=np.float64).sum()) for p in params]
+    norm = float(np.sqrt(sum(sums)))
+    if not np.isfinite(norm):
+        worst = max(zip(sums, params), key=lambda sp: np.inf if np.isnan(sp[0]) else sp[0])[1]
+        raise NumericalError(f"gradient norm {norm} is not finite: {worst.name} holds "
+                             f"a non-finite or overflowing gradient")
+    return norm
 
 
 def clip_global_norm(params: list[Parameter], max_norm: float) -> float:

@@ -7,7 +7,11 @@ bit-reproducible from (config, seed) on one numpy and BLAS build at one BLAS
 thread count: BLAS splits some sums by thread count, so weight gradients
 differ in their last bits between, e.g., OPENBLAS_NUM_THREADS=1 and 2.  The
 package pins one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
-set, so every run that leaves both unset trains the same weights.
+set, so every run that leaves both unset trains the same weights.  The
+products also depend on how many columns a step has: a one-sentence encode
+takes each encoder layer's input products as one product (see "Narrow runs"
+in nn), where a batch takes one per step, so a sentence's encoder outputs
+alone and in a batch agree within round-off, and are each reproducible.
 """
 
 from __future__ import annotations

@@ -388,6 +388,49 @@ class TestOptimizers:
         assert np.all(p.grad == 0)
 
 
+class TestNonFiniteGradients:
+    """A norm not finite in f32 is summed again in float64: finite there,
+    it clips; not finite, the step raises before any moment or weight moves."""
+
+    @staticmethod
+    def _state(entry):
+        params = [Parameter(np.full((2, 3), 0.5, np.float32), "enc0.fwd.Wx"),
+                  Parameter(np.full((4, 1), 0.25, np.float32), "out.b")]
+        params[0].grad[...] = 1.0
+        params[1].grad[...] = -2.0
+        params[1].grad[2, 0] = entry
+        return AdamState(params, lr=1e-3, clip=5.0)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises_before_the_step(self, entry):
+        state = self._state(entry)
+        values = [p.value.copy() for p in state.params]
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="out.b"):
+            adam_step(state)
+        assert state.t == 0
+        for p, value, m, v in zip(state.params, values, state.m, state.v, strict=True):
+            assert np.array_equal(p.value, value) and not m.any() and not v.any()
+
+    def test_overflowing_square_clips_to_the_norm(self):
+        """3e19 squared overflows f32: the step clips to norm 5 instead of
+        zeroing every gradient."""
+        state = self._state(3e19)
+        with np.errstate(over="ignore"):
+            norm = clip_global_norm(state.params, state.clip)
+        assert norm == pytest.approx(3e19, rel=1e-6)
+        clipped = math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum())
+                                for p in state.params))
+        assert clipped == pytest.approx(5.0, rel=1e-5)
+
+    def test_overflowing_square_still_steps(self):
+        state = self._state(3e19)
+        with np.errstate(over="ignore"):
+            assert adam_step(state) == pytest.approx(3e19, rel=1e-6)
+        # Adam's first step moves each entry with a nonzero gradient by lr
+        assert state.params[1].value[2, 0] == pytest.approx(0.25 - 1e-3, rel=1e-5)
+        assert all(np.all(np.isfinite(p.value)) for p in state.params)
+
+
 class TestGradientCheckHarness:
     """gradient_check(forward, backward, params) on the quadratic loss
     0.5 * sum(scale * p**2), whose gradient is scale * p."""

@@ -563,11 +563,10 @@ class TestGradientWorker:
         """Every analytic gradient is summed on the worker.  The
         finite-difference probes run the forward pass only and make no sums."""
         monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
-        monkeypatch.setattr(nn, "_worker", None)
+        handoffs = record_handoffs(monkeypatch)
         results = run_verification_suite(seed=0)
         assert max(results.values()) < 1e-4, results
-        assert nn._worker is not None
-        nn._worker.shutdown()
+        assert handoffs
 
     def test_training_with_one_queued_parameter_is_bit_identical(self, monkeypatch):
         vocab, toks = toy_corpus()
@@ -575,17 +574,19 @@ class TestGradientWorker:
         settings = TrainSettings(erasure_prob=0.1, tf_start_epochs=1, seed=2, wer_sample=4)
         runs = []
         for inline_elements in (EVERY_SUM_INLINE, REAL_INLINE_ELEMENTS):
-            monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", inline_elements)
-            monkeypatch.setattr(nn, "_worker", None)
-            model = one_queued_parameter_model(len(vocab))
-            logs = Trainer(model, settings).run(toks, plan, 3)
-            runs.append(([log.mean_loss for log in logs], model.parameters(), nn._worker))
-        (inline_losses, inline_params, no_worker), (losses, params, worker) = runs
-        assert no_worker is None and worker is not None
+            with monkeypatch.context() as patch:
+                patch.setattr(nn, "INLINE_GRAD_ELEMENTS", inline_elements)
+                handoffs = record_handoffs(patch)
+                model = one_queued_parameter_model(len(vocab))
+                logs = Trainer(model, settings).run(toks, plan, 3)
+            runs.append(([log.mean_loss for log in logs], model.parameters(),
+                         {fn for fn, _ in handoffs}))
+        (inline_losses, inline_params, no_jobs), (losses, params, jobs) = runs
+        # toy forward steps hand nothing off; only dec0.Wh's sums are queued
+        assert no_jobs == set() and jobs == {nn.add_product}
         assert losses == inline_losses
         for p, q in zip(inline_params, params):
             assert np.array_equal(p.value, q.value), p.name
-        worker.shutdown()
 
     def test_failing_job_raises_at_next_read(self, monkeypatch):
         monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
@@ -624,7 +625,7 @@ class TestGradientWorker:
             raise AssertionError("inference started the gradient worker")
         monkeypatch.setattr(nn, "INLINE_GRAD_ELEMENTS", 0)
         monkeypatch.setattr(nn, "_worker", None)
-        monkeypatch.setattr(nn, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(nn, "Worker", no_thread)
         vocab, toks = toy_corpus()
         model = one_queued_parameter_model(len(vocab))
         codewords = model.encode_sentences(toks)
@@ -803,33 +804,104 @@ def paper_size_step(d, h, columns, dtype, seed):
     return cell, x, h_prev, c_prev
 
 
-def record_product_threads(monkeypatch):
-    """Names of the threads that run each `nn.matmul` from now on."""
-    names = []
+def record_products(monkeypatch):
+    """(thread name, weight) of each `nn.matmul` from now on."""
+    products = []
     matmul = nn.matmul
 
     def recording(W, x):
-        names.append(threading.current_thread().name)
+        products.append((threading.current_thread().name, W))
         return matmul(W, x)
     monkeypatch.setattr(nn, "matmul", recording)
-    return names
+    return products
+
+
+def record_handoffs(monkeypatch):
+    """(fn, args) of each job handed to the worker from now on."""
+    jobs = []
+    submit = nn.Worker.submit
+
+    def recording(worker, fn, *args):
+        jobs.append((fn, args))
+        return submit(worker, fn, *args)
+    monkeypatch.setattr(nn.Worker, "submit", recording)
+    return jobs
+
+
+def drain_worker():
+    """Return once the worker has taken every job handed to it before."""
+    assert nn._executor().submit(int).result() == 0
+
+
+def blocked_worker():
+    """An Event whose set() frees the worker, which waits on it from now on."""
+    release = threading.Event()
+    nn._executor().submit(release.wait, 60)
+    return release
+
+
+WORKER = "textjscc-worker"
 
 
 class TestConcurrentStep:
-    """A large step's input product runs on the worker thread, and the step
-    equals the frozen serial cell bit for bit."""
+    """A large step hands its input product to the worker, which runs it
+    unless the caller reclaims it first; either way it runs exactly once and
+    the step equals the frozen serial cell bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d,h,columns", [(200, 512, 4), (512, 512, 1), (200, 256, 128)])
     def test_step_equals_the_serial_cell(self, monkeypatch, d, h, columns, dtype):
         cell, x, h_prev, c_prev = paper_size_step(d, h, columns, dtype, seed=d + columns)
         want = cached_tanh_cell_forward(cell, x, h_prev, c_prev)
-        threads = record_product_threads(monkeypatch)
+        products = record_products(monkeypatch)
+        handoffs = record_handoffs(monkeypatch)
         got = nn.lstm_cell_forward(cell, x, h_prev, c_prev)
-        assert sorted(threads) == ["MainThread", "textjscc-worker_0"]
+        assert [args[0] is cell.Wx.value for _, args in handoffs] == [True]
+        (wx_thread,) = [name for name, W in products if W is cell.Wx.value]
+        assert wx_thread in ("MainThread", WORKER)
+        assert [name for name, W in products if W is cell.Wh.value] == ["MainThread"]
+        assert len(products) == 2
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         for a, b in zip(got[2], want[2][:8], strict=True):
             assert a.dtype == dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_blocked_worker_leaves_the_product_to_its_caller(self, monkeypatch, dtype):
+        """The worker waits on an Event while a step runs: the caller
+        reclaims its product, and the worker never runs it afterwards."""
+        step = paper_size_step(200, 512, 4, dtype, seed=3)
+        want = cached_tanh_cell_forward(*step)
+        release = blocked_worker()
+        try:
+            products = record_products(monkeypatch)
+            handoffs = record_handoffs(monkeypatch)
+            h, c, _ = nn.lstm_cell_forward(*step)
+            assert len(handoffs) == 1
+        finally:
+            release.set()
+        drain_worker()
+        assert [name for name, _ in products] == ["MainThread", "MainThread"]
+        assert {id(W) for _, W in products} == {id(step[0].Wx.value), id(step[0].Wh.value)}
+        assert np.array_equal(h, want[0]) and np.array_equal(c, want[1])
+
+    def test_a_raising_caller_withdraws_its_unstarted_product(self, monkeypatch):
+        """On the error path the caller withdraws the product it handed off
+        and does not compute it either."""
+        step = paper_size_step(200, 512, 4, np.float32, seed=4)
+        products = []
+
+        def failing(W, x):
+            products.append(threading.current_thread().name)
+            raise ValueError("caller's product failed")
+        release = blocked_worker()
+        try:
+            monkeypatch.setattr(nn, "matmul", failing)
+            with pytest.raises(ValueError, match="caller's product failed"):
+                nn.lstm_cell_forward(*step)
+        finally:
+            release.set()
+        drain_worker()
+        assert products == ["MainThread"]
 
     def test_threads_stepping_at_once_get_their_serial_results(self):
         """Four threads share the one worker under a short switch interval;
@@ -865,11 +937,15 @@ class TestConcurrentStep:
         step = paper_size_step(200, 512, 4, np.float32, seed=1)
         want = cached_tanh_cell_forward(*step)
         error = ValueError("product failed")
+        started = threading.Event()
         matmul = nn.matmul
 
         def failing_on_worker(W, x):
-            if threading.current_thread().name.startswith("textjscc-worker"):
+            if threading.current_thread().name == WORKER:
+                started.set()
                 raise error
+            # the caller's product ends after the worker has taken its job
+            assert started.wait(timeout=60)
             return matmul(W, x)
         with monkeypatch.context() as patch:
             patch.setattr(nn, "matmul", failing_on_worker)
@@ -882,14 +958,17 @@ class TestConcurrentStep:
     def test_caller_waits_for_the_worker_product_when_its_own_raises(self, monkeypatch):
         step = paper_size_step(200, 512, 4, np.float32, seed=2)
         finished = []
+        started = threading.Event()
         matmul = nn.matmul
 
         def slow_worker_failing_caller(W, x):
-            if threading.current_thread().name.startswith("textjscc-worker"):
+            if threading.current_thread().name == WORKER:
+                started.set()
                 time.sleep(0.05)
                 out = matmul(W, x)
                 finished.append(True)
                 return out
+            assert started.wait(timeout=60)  # the worker has taken its job
             raise ValueError("caller's product failed")
         monkeypatch.setattr(nn, "matmul", slow_worker_failing_caller)
         with pytest.raises(ValueError, match="caller's product failed"):
@@ -897,15 +976,76 @@ class TestConcurrentStep:
         assert finished == [True]
 
     def test_paper_size_beam_search_uses_the_worker_and_keeps_its_tokens(self, monkeypatch):
+        """Every product handed off runs exactly once, so a search makes as
+        many products as a serial one, and returns its tokens."""
         model = JsccModel(load_config().jscc_config(1000), seed=5)
         obs = np.random.default_rng(4).choice([-1.0, 0.0, 1.0], size=model.config.bits)
-        monkeypatch.setattr(nn, "_worker", None)
-        monkeypatch.setattr(nn, "CONCURRENT_MNK", NO_HANDOFF)
-        serial = model.beam_search_decode(obs, max_len=6)
-        assert nn._worker is None
-        monkeypatch.undo()
-        monkeypatch.setattr(nn, "_worker", None)
-        threads = record_product_threads(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "CONCURRENT_MNK", NO_HANDOFF)
+            handoffs = record_handoffs(patch)
+            products = record_products(patch)
+            serial = model.beam_search_decode(obs, max_len=6)
+            serial_products = len(products)
+        assert handoffs == []
+        handoffs = record_handoffs(monkeypatch)
+        products = record_products(monkeypatch)
         assert model.beam_search_decode(obs, max_len=6) == serial
-        assert "textjscc-worker_0" in threads
-        nn._worker.shutdown()
+        drain_worker()
+        assert handoffs and len(products) == serial_products
+
+
+class TestNarrowRun:
+    """A one-column run below the handoff size takes its input products in
+    one product; runs of more columns keep one product per step."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,h,columns,steps", [(16, 12, 2, 6), (48, 20, 5, 7), (24, 24, 16, 5),
+                                                   (200, 256, 2, 6), (200, 256, 11, 4),
+                                                   (512, 256, 16, 3), (48, 12, 24, 9)])
+    def test_wider_runs_equal_the_per_step_cell(self, d, h, columns, steps, dtype):
+        rng = np.random.default_rng(d + h + columns)
+        fwd, bwd = (nn.LstmCellParams(d, h, rng, dtype) for _ in range(2))
+        assert not nn._hands_off(fwd.Wx.value, h, columns)
+        xs = [rng.uniform(-1, 1, (d, columns)).astype(dtype) for _ in range(steps)]
+        got, want = nn.lstm_run(fwd, xs), cached_tanh_run(fwd, xs)
+        for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
+            assert a.dtype == dtype and np.array_equal(a, b)
+        for a, b in zip(got[2], want[2], strict=True):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b[:8], strict=True))
+        got, want = nn.blstm_layer_forward(fwd, bwd, xs), concatenating_blstm_forward(fwd, bwd, xs)
+        for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,h,steps", [(9, 5, 7), (200, 256, 15), (512, 256, 31)])
+    def test_one_column_agrees_within_roundoff(self, d, h, steps, dtype):
+        rng = np.random.default_rng(d + h)
+        fwd, bwd = (nn.LstmCellParams(d, h, rng, dtype) for _ in range(2))
+        xs = [rng.uniform(-1, 1, (d, 1)).astype(dtype) for _ in range(steps)]
+        for got, want in ((nn.lstm_run(fwd, xs), cached_tanh_run(fwd, xs)),
+                          (nn.blstm_layer_forward(fwd, bwd, xs),
+                           concatenating_blstm_forward(fwd, bwd, xs))):
+            for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
+                assert a.dtype == dtype and np.max(np.abs(a - b)) <= 1e-6
+
+    def test_one_column_encode_keeps_the_codewords(self, monkeypatch):
+        vocab, toks = toy_corpus(n=32)
+        model = JsccModel(load_config().jscc_config(len(vocab)), seed=3)
+        alone = [model.encode(t.ids) for t in toks]
+        grouped = model.encode_sentences(toks)
+        for module in (nn, model_module):
+            monkeypatch.setattr(module, "lstm_run", cached_tanh_run)
+            monkeypatch.setattr(module, "blstm_layer_forward", concatenating_blstm_forward)
+        for t, codeword, row in zip(toks, alone, grouped, strict=True):
+            assert np.array_equal(codeword, model.encode(t.ids))
+            assert np.array_equal(codeword, row)
+
+    @pytest.mark.parametrize("stacks", [1, 2, 3])
+    def test_one_column_encode_reads_each_input_weight_once(self, monkeypatch, stacks):
+        model = JsccModel(JsccConfig(vocab_size=30, embed_dim=9, encoder_stacks=stacks,
+                                     encoder_hidden=5, bits=12), seed=0)
+        products = record_products(monkeypatch)
+        model.encode([4, 5, 6, 7, 8])
+        for fwd, bwd in model.encoder:
+            for cell in (fwd, bwd):
+                assert sum(W is cell.Wx.value for _, W in products) == 1, cell.Wx.name
