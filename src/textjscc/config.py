@@ -132,11 +132,9 @@ class RunConfig:
                               f"{v['corpus.min_len']} > {v['corpus.max_len']}")
         if v["model.bits"] % 2 != 0 or v["model.bits"] < 2:
             raise ConfigError(f"model.bits must be even and >= 2, got {v['model.bits']}")
-        if v["baseline.fec_mode"] not in ("idealized", "concrete"):
-            raise ConfigError(f"unknown baseline.fec_mode {v['baseline.fec_mode']!r}")
         if v["train.precision"] not in ("f32", "f64"):
-            raise ConfigError(f"train.precision must be f32 or f64")
-        self.sweep_spec()  # SweepSpec checks the sweep.* keys
+            raise ConfigError(f"train.precision must be f32 or f64, got {v['train.precision']!r}")
+        self.sweep_spec()  # SweepSpec checks the sweep.* keys and baseline.fec_mode
 
     # ----- derived objects -----
 

@@ -26,8 +26,8 @@ multiply, gf_mul, that takes ints and arrays alike.  Systematic encoding is
 linear: the parity of data symbol i is data[i] * (x^(n-1-i) mod g), so each
 code keeps those k remainders as a k x (n-k) parity matrix and rs_encode is
 one table product of the data with it, reduced by XOR.  Erasure decoding
-solves the syndrome system by Gauss-Jordan elimination on numpy rows through
-the same tables.
+takes the erased values in closed form by Forney's formula, in array calls
+through the same tables.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ GF_LOG[GF_EXP[:255]] = np.arange(255)
 def gf_mul(a, b):
     """GF(256) product of ints or broadcastable integer arrays in 0..255."""
     return GF_EXP[GF_LOG[a] + GF_LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise DomainError("0 has no inverse in GF(256)")
-    return GF_EXP[255 - GF_LOG[a]]
 
 
 class RsCode:
@@ -114,49 +108,44 @@ def rs_encode(data: Sequence[int], code: RsCode) -> list[int]:
 def rs_decode_erasures(received: Sequence[int], erasures: Sequence[int], code: RsCode) -> list[int]:
     """Recover the k data symbols given the erasure positions.
 
-    Solves the syndrome system for the erased values by Gauss-Jordan
-    elimination over GF(256); raises DecodeFailure when #erasures > n - k and
+    Position p holds the coefficient of x^(n-1-p), so an erased p has locator
+    X = alpha^(n-1-p), and the zero-filled word's syndromes S_i = c(alpha^i),
+    i < t, are sums of the erased values e times X^i.  With the erasure
+    locator L(x) = prod (1 + X x) and Omega = S L mod x^t, Forney's formula
+    gives e_j = Omega(1/X_j) / prod_{k != j} (1 + X_k / X_j), since the
+    generator's roots start at alpha^0; the factors are nonzero because the
+    X are distinct.  Raises DecodeFailure when #erasures > n - k and
     DomainError for a position outside the codeword.
     """
     n, k = code.n, code.k
     if len(received) != n:
         raise ShapeError(f"expected {n} received symbols, got {len(received)}")
-    positions = sorted(set(erasures))
-    for p in positions:
-        if not 0 <= p < n:
-            raise DomainError(f"erasure position {p} outside codeword of length {n}")
-    t = len(positions)
+    positions = np.unique(np.asarray(erasures, dtype=np.intp))
+    bad = positions[(positions < 0) | (positions >= n)]
+    if bad.size:
+        raise DomainError(f"erasure position {bad[0]} outside codeword of length {n}")
+    t = positions.size
     if t > n - k:
         raise DecodeFailure(f"{t} erasures exceed capability {n - k}")
-    if t == 0:
-        return list(received[:k])
 
     cw = np.array(received, dtype=np.intp)
     cw[positions] = 0
-    # Position p holds the coefficient of x^(n-1-p).  Syndromes of the
-    # zero-filled word: S_i = c(alpha^i) = sum over erased p of c_p * beta_p^i
-    # with beta_p = alpha^(n-1-p).
-    rows = np.arange(t)[:, None]
+    d = np.arange(t)
     known = np.flatnonzero(cw)
-    terms = GF_EXP[(GF_LOG[cw[known]] + rows * (n - 1 - known)) % 255]
-    mat = np.empty((t, t + 1), dtype=np.intp)
-    mat[:, t] = np.bitwise_xor.reduce(terms, axis=1)
-    mat[:, :t] = GF_EXP[rows * (n - 1 - np.array(positions)) % 255]
-
-    # Gauss-Jordan with pivoting (the matrix is Vandermonde, so full rank).
-    # Columns left of col are already reduced, so row operations skip them.
-    for col in range(t):
-        nonzero = np.flatnonzero(mat[col:, col])
-        if nonzero.size == 0:
-            raise DecodeFailure("singular erasure system")
-        pivot = col + nonzero[0]
-        if pivot != col:
-            mat[[col, pivot]] = mat[[pivot, col]]
-        mat[col, col:] = gf_mul(mat[col, col:], gf_inv(int(mat[col, col])))
-        factors = mat[:, col].copy()
-        factors[col] = 0
-        mat[:, col:] ^= gf_mul(factors[:, None], mat[col, col:])
-    cw[positions] = mat[:, t]
+    terms = GF_EXP[(GF_LOG[cw[known]] + d[:, None] * (n - 1 - known)) % 255]
+    synd = np.bitwise_xor.reduce(terms, axis=1)
+    logx = n - 1 - positions
+    locator = np.zeros(t + 1, dtype=np.intp)  # lowest degree first
+    locator[0] = 1
+    for lx in logx:
+        locator[1:] ^= GF_EXP[GF_LOG[locator[:-1]] + lx]
+    # omega_m = sum over l <= m of S_(m-l) L_l; tril drops the wrapped l > m
+    omega = np.bitwise_xor.reduce(
+        np.tril(GF_EXP[GF_LOG[synd][d[:, None] - d] + GF_LOG[locator[:t]]]), axis=1)
+    numer = np.bitwise_xor.reduce(GF_EXP[GF_LOG[omega] + (-np.outer(logx, d)) % 255], axis=1)
+    factors = GF_LOG[GF_EXP[(logx - logx[:, None]) % 255] ^ 1]  # log(1 + X_k / X_j)
+    np.fill_diagonal(factors, 0)
+    cw[positions] = GF_EXP[GF_LOG[numer] + (-factors.sum(axis=1)) % 255]
     return cw[:k].tolist()
 
 
@@ -260,8 +249,7 @@ def transmit_baseline(sentence_bits: np.ndarray, plan: FecPlan,
         erased = (rx == ERASED).any(axis=1)
         # the decoder ignores the values it is told are erased
         symbols = np.packbits(rx.astype(np.uint8), axis=1)[:, 0]
-        recovered.extend(rs_decode_erasures(symbols.tolist(), np.flatnonzero(erased).tolist(),
-                                            code))
+        recovered.extend(rs_decode_erasures(symbols.tolist(), np.flatnonzero(erased), code))
     # exactly as long as the payload: callers keep it, and a slice would keep
     # the padding bits alive with it
     return np.unpackbits(np.array(recovered, dtype=np.uint8), count=sentence_bits.size)

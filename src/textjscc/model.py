@@ -420,6 +420,8 @@ class JsccModel:
         normalization), shorter first on a tie; hypotheses cut off at max_len
         count as finished.
         """
+        if max_len < 1:
+            raise DomainError(f"max_decode_len must be >= 1, got {max_len}")
         vocab = self.config.vocab_size
         states, _ = self.decoder_init(obs)
         n = states[0][0].shape[1]

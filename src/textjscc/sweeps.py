@@ -68,6 +68,9 @@ class SweepSpec:
             raise ConfigError("axis values must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.fec_mode not in ("idealized", "concrete"):
+            raise ConfigError(f"baseline.fec_mode must be idealized or concrete, "
+                              f"got {self.fec_mode!r}")
         if self.lz_batch < 1:
             raise ConfigError(f"lz_batch must be >= 1, got {self.lz_batch}")
         unknown = [s for s in self.systems if s not in SYSTEMS]

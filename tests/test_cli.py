@@ -119,6 +119,16 @@ class TestFlags:
         tmp, out, base = workdir
         assert run(["prepare", "--set", "model.bits=401"] + base) == 2
 
+    @pytest.mark.parametrize("key,value,choices", [
+        ("train.precision", "f16", "f32 or f64"),
+        ("baseline.fec_mode", "ideal", "idealized or concrete"),
+    ])
+    def test_bad_choice_names_the_value(self, workdir, capsys, key, value, choices):
+        tmp, out, base = workdir
+        assert run(["prepare", "--set", f"{key}={value}"] + base) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} must be {choices}, got {value!r}\n", err
+
     def test_set_overrides_config_file(self, tmp_path, capsys):
         corpus_path = tmp_path / "c.txt"
         corpus_path.write_text("\n".join(CORPUS) + "\n")

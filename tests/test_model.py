@@ -9,6 +9,7 @@ import pytest
 
 from textjscc import model as model_module
 from textjscc import nn
+from textjscc.channel import erase
 from textjscc.corpus import EOS_ID, SOS_ID, TokenizedSentence
 from textjscc.errors import DomainError, ShapeError
 from textjscc.model import (
@@ -201,6 +202,41 @@ class TestEncoderTopStep:
         assert len(grads) == len(ref_grads)
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stacks", [1, 2, 3])
+    def test_dead_rows_of_the_top_backward_cell(self, stacks):
+        """The one step starts from h = c = 0, so Wh, the forget gate's rows
+        of Wx and b (f multiplies only c_prev) and the i, f peepholes get
+        exact zero gradients; every other row of the cell gets some."""
+        config = tiny_config(vocab_size=30, embed_dim=9, encoder_stacks=stacks,
+                             encoder_hidden=5, bits=12)
+        ids = np.random.default_rng(1).integers(4, 30, size=(7, 6))
+        targets = np.concatenate([ids, np.full((7, 1), EOS_ID)], axis=1)
+        model = JsccModel(config, seed=3)
+        rng = np.random.default_rng(5)
+        bits, enc_cache = model.encode_training(ids, rng)
+        obs = erase(bits, 0.2, rng)
+        _, dec_cache = model.decode_teacher_forced(obs, targets, 0.5, rng)
+        model.encode_backward(enc_cache, model.decode_backward(dec_cache) * (obs != 0))
+        h = config.encoder_hidden
+        cell = model.encoder[-1][1]
+        dead = {"Wx": slice(h, 2 * h), "Wh": slice(None), "b": slice(h, 2 * h),
+                "p": slice(0, 2 * h)}
+        counted = 0
+        for param in cell.parameters():
+            rows = np.zeros(len(param.value), dtype=bool)
+            rows[dead[param.name.rsplit(".", 1)[1]]] = True
+            assert np.all(param.grad[rows] == 0), param.name
+            assert np.all(np.any(param.grad[~rows] != 0, axis=1)), param.name
+            counted += param.value[rows].size
+
+        def dead_entries(h, d):
+            return 4 * h * h + h * d + h + 2 * h
+
+        assert counted == dead_entries(h, cell.input_dim)
+        paper = JsccConfig(vocab_size=1000)
+        at_paper = dead_entries(paper.encoder_hidden, 2 * paper.encoder_hidden)
+        assert (at_paper, paper.parameter_count() - at_paper) == (393_984, 7_217_080)
 
     @pytest.mark.parametrize("stacks", [1, 2, 3])
     def test_cell_steps_per_encode(self, monkeypatch, stacks):
@@ -628,6 +664,15 @@ class TestBeamSearchCore:
             obs = random_observations(model.config.bits, 16, seed)
             assert model.greedy_decode_batch(obs, self.MAX_LEN) == \
                 reference_greedy_decode(model, obs, self.MAX_LEN), (seed, eos_bias)
+
+    def test_max_len_below_one_is_domain_error(self):
+        model = self._model(0.2)
+        obs = random_observations(model.config.bits, 3, seed=0)
+        for decode in (lambda: model.beam_search_decode(obs[:, 0], 4, 0),
+                       lambda: model.greedy_decode_batch(obs, 0),
+                       lambda: model._beam_search(obs, 2, -1)):
+            with pytest.raises(DomainError, match="^max_decode_len must be >= 1, got -?[01]$"):
+                decode()
 
     def test_greedy_matches_the_argmax_loop_on_tied_logits(self):
         model = self._model(0.0)

@@ -6,7 +6,7 @@ import pytest
 
 from textjscc.budget import encode_batch_with_budget, encode_with_budget
 from textjscc.corpus import build_vocabulary, char_frequencies, tokenize
-from textjscc.errors import ConfigError
+from textjscc.errors import ConfigError, DomainError
 from textjscc.fec import plan_budget
 from textjscc.fixed5 import fixed5_encode
 from textjscc.huffman import codebook_for_pipeline, huffman_encode
@@ -129,6 +129,21 @@ class TestRunSweep:
         assert len(table) == 2
         assert all(np.isfinite(r.mean_wer) for r in table)
         assert table == run_sweep(spec, sents, models={16: model})
+
+    def test_deep_sweep_rejects_max_decode_len_zero(self, corpus):
+        vocab, sents, _ = corpus
+        config = JsccConfig(vocab_size=len(vocab), embed_dim=8, encoder_stacks=1,
+                            encoder_hidden=6, decoder_stacks=1, decoder_hidden=8, bits=16)
+        spec = SweepSpec(axis="erasure_rate", values=[0.0], systems=["deep"], trials=1,
+                         seed=6, bits_per_sentence=16, max_decode_len=0)
+        with pytest.raises(DomainError, match="max_decode_len must be >= 1, got 0"):
+            run_sweep(spec, sents, models={16: JsccModel(config, seed=0)})
+
+    def test_unknown_fec_mode_is_rejected_by_the_spec(self):
+        with pytest.raises(ConfigError, match="^baseline.fec_mode must be idealized or "
+                                              "concrete, got 'ideal'$"):
+            SweepSpec(axis="bits_per_sentence", values=[200], systems=["fixed5"],
+                      trials=1, seed=0, fec_mode="ideal")
 
     def test_grouped_codewords_equal_per_sentence(self, corpus):
         vocab, sents, _ = corpus
