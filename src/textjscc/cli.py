@@ -7,9 +7,9 @@ randomness flows from the single config seed: results are bit-reproducible
 from (config, seed) on one numpy and BLAS build at one BLAS thread count,
 which is one unless the environment sets OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS, for the same grouping of sentences into encoder batches
-(see training).  `transmit` and `sweep` send the baselines
-through the same dispatch (sweeps.encode_group and sweeps.transmit_group),
-and the system names come from sweeps.SYSTEMS.
+(see training).  `transmit` and `sweep` plan and send the baselines through
+the same functions (sweeps.plan_group, encode_group and transmit_group), and
+the system names come from sweeps.SYSTEMS.
 channel.erasure_prob is the channel's p_d: the deep codec is erased at it,
 and a baseline's FecPlan, planned for it, carries it across the channel.
 
@@ -41,13 +41,12 @@ from .corpus import (
     tokenize,
 )
 from .errors import ConfigError, DecodeFailure, IoError, TextJsccError
-from .fec import plan_budget
 from .fileio import write_atomic
 from .gradcheck import TOLERANCE, run_verification_suite
 from .huffman import HuffmanCodebook, codebook_for_pipeline
 from .metrics import wer
 from .model import JsccModel, load_pretrained_embeddings
-from .sweeps import SYSTEMS, emit_results, encode_group, run_sweep, transmit_group
+from .sweeps import SYSTEMS, emit_results, encode_group, plan_group, run_sweep, transmit_group
 from .training import Trainer
 
 log = logging.getLogger("textjscc")
@@ -196,11 +195,11 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
         print(f"wer: {wer(sent.ids, hyp):.4f}")
         return 0
 
-    plan = plan_budget(cfg["model.bits"], p_d, cfg["baseline.fec_mode"])
+    plan, source_bits = plan_group(cfg["model.bits"], p_d, cfg["baseline.fec_mode"])
     words = sent.words()
     codebook = _codebook(cfg) if args.system == "huffman" else None
-    enc = encode_group(args.system, codebook, [words], plan.source_bits)
-    print(f"payload bits: {enc.bits.size} (source budget {plan.source_bits}, "
+    enc = encode_group(args.system, codebook, [words], source_bits)
+    print(f"payload bits: {enc.bits.size} (source budget {source_bits}, "
           f"parity reserve {plan.parity_bits})")
     print(f"words dropped to fit: {enc.words_dropped}")
     try:

@@ -65,8 +65,8 @@ def gf_mul(a, b):
 class RsCode:
     """Systematic (n, k) Reed-Solomon code; corrects any <= n-k erasures.
 
-    generator lists g(x) = prod_{i<n-k} (x - alpha^i), highest degree first;
-    parity row i holds x^(n-1-i) mod g, the parity of a unit data symbol i.
+    With g(x) = prod_{i<n-k} (x - alpha^i), parity row i holds
+    x^(n-1-i) mod g, the parity of a unit data symbol i.
     """
 
     def __init__(self, n: int, k: int):
@@ -78,7 +78,6 @@ class RsCode:
         for root in GF_EXP[: n - k]:
             # multiply by (x - root); subtraction is xor in GF(2^8)
             gen = np.append(gen, 0) ^ np.append(0, gf_mul(gen, root))
-        self.generator = gen.tolist()
         # x^(n-k) mod g is g's tail; each higher power is x times the one
         # below, with the carried leading coefficient folded back through g.
         parity = np.empty((k, n - k), dtype=np.intp)

@@ -75,12 +75,10 @@ class JsccConfig:
     def __post_init__(self):
         if self.bits < 2 or self.bits % 2 != 0:
             raise DomainError(f"bit budget must be even and >= 2, got {self.bits}")
-        dims = (self.vocab_size, self.embed_dim, self.encoder_stacks, self.encoder_hidden,
-                self.decoder_stacks, self.decoder_hidden, self.beam_width)
-        if any(d < 1 for d in dims):
-            raise DomainError("all model dimensions must be >= 1")
-        if self.max_decode_len < 1:
-            raise DomainError("max_decode_len must be >= 1")
+        for name in ("vocab_size", "embed_dim", "encoder_stacks", "encoder_hidden",
+                     "decoder_stacks", "decoder_hidden", "beam_width", "max_decode_len"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.precision not in ("f32", "f64"):
             raise DomainError(f"precision must be f32 or f64, got {self.precision!r}")
 

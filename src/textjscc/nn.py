@@ -45,11 +45,10 @@ offers `result`, `exception` and `cancel`; `cancel` withdraws a job the
 worker has not started, which then never runs.  So every product handed off
 runs exactly once: on the worker, or by its caller after a `cancel`.  On a
 2-vCPU Xeon an empty handoff and wait took a median 59 us between cell
-steps and 32 us back to back, against 98 and 47 us through the
-`ThreadPoolExecutor` it replaced.  Each of the two threads runs
-single-threaded BLAS under the package's pin, and BLAS releases the GIL, so
-their products overlap.  A job never runs a forward step: the step would
-wait for a product queued behind itself.
+steps and 32 us back to back.  Each of the two threads runs single-threaded
+BLAS under the package's pin, and BLAS releases the GIL, so their products
+overlap.  A job never runs a forward step: the step would wait for a product
+queued behind itself.
 
 Gradient accumulation.  A backward pass adds every parameter gradient
 through `Parameter.accumulate(fn, *arrays)`.  A parameter with at least

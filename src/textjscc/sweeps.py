@@ -5,10 +5,13 @@ source/channel-coding baselines (batched LZSS, character Huffman, fixed
 5-bit), all sharing the same erasure channel and per-sentence bit budget.
 The deep codec is erased at the cell's p_d; a baseline crosses the channel
 at the p_d its FecPlan carries, the one plan_budget sized its parity for.
-encode_group and transmit_group are the one place that says how a baseline
-encodes, spends its budget and decodes; run_sweep and the `transmit` command
-both go through them.  Results are deterministic functions of (spec, seed):
-every trial and every transmission draws from its own channel.stream.
+plan_group, encode_group and transmit_group are the one place that says how a
+baseline plans, encodes, spends its budget and decodes; run_sweep and the
+`transmit` command both go through them.  A group of n sentences is one frame
+under the plan for n times the budget; it is encoded within n times the
+one-sentence plan's source bits, but never past the frame plan's.  Results
+are deterministic functions of (spec, seed): every trial and every
+transmission draws from its own channel.stream.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -88,13 +92,6 @@ class SweepResult:
     seed: int
 
 
-def _trial_stats(trial_means: list[float]) -> tuple[float, float]:
-    arr = np.asarray(trial_means, dtype=np.float64)
-    mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, stderr
-
-
 def _eval_deep(model: JsccModel, sents: Sequence[TokenizedSentence], p_d: float,
                spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
     codewords = model.encode_sentences(sents)
@@ -143,25 +140,29 @@ def transmit_group(system: str, codebook: HuffmanCodebook | None, bits: np.ndarr
     return [fixed5_decode(out_bits).split()]
 
 
+def plan_group(bits: int, p_d: float, fec_mode: str, size: int = 1) -> tuple[FecPlan, int]:
+    """The FecPlan that carries `size` sentences as one frame, and the
+    per-sentence source limit they are encoded under: concrete parity is not
+    proportional to the budget, so 32 * 224 source bits at 600 bits and
+    p_d=0.1 would overrun the 7152 of a 32 * 600-bit frame."""
+    one = plan_budget(bits, p_d, fec_mode)
+    frame = one if size == 1 else plan_budget(bits * size, p_d, fec_mode)
+    return frame, min(one.source_bits, frame.source_bits // size)
+
+
 def _eval_baseline(system: str, codebook: HuffmanCodebook | None,
-                   sents: Sequence[TokenizedSentence], bits: int, p_d: float,
+                   groups: list[list[list[str]]], plans: dict[int, tuple[FecPlan, int]],
                    spec: SweepSpec, axis_idx: int, sys_idx: int) -> list[float]:
-    size = spec.lz_batch if system == "gzip-batch" else 1
-    groups = [[s.words() for s in sents[i:i + size]] for i in range(0, len(sents), size)]
-    # a group is one transmission under a plan for its whole budget
-    plans = {1: plan_budget(bits, p_d, spec.fec_mode)}
-    encoded = [encode_group(system, codebook, refs, plans[1].source_bits) for refs in groups]
+    encoded = [encode_group(system, codebook, refs, plans[len(refs)][1]) for refs in groups]
     trial_means = []
     for trial in range(spec.trials):
         wers = []
         for gi, (refs, enc) in enumerate(zip(groups, encoded)):
             hyps = []
             if enc.fits:
-                if len(refs) not in plans:
-                    plans[len(refs)] = plan_budget(bits * len(refs), p_d, spec.fec_mode)
                 rng = stream(spec.seed, axis_idx, sys_idx, trial, gi)
                 try:
-                    hyps = transmit_group(system, codebook, enc.bits, plans[len(refs)], rng)
+                    hyps = transmit_group(system, codebook, enc.bits, plans[len(refs)][0], rng)
                 except DecodeFailure:
                     pass
             if len(hyps) != len(refs):
@@ -177,10 +178,11 @@ def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
     """Transmit the test set at every axis value for every system.
 
     For the deep system, `models` maps each bit budget to a trained model;
-    a missing budget raises ConfigError.  The baselines go through
-    encode_group/transmit_group.  Every transmission draws from its own RNG
-    stream, derived from (seed, axis index, system index, trial, sentence or
-    LZ batch index).
+    a missing budget raises ConfigError.  Every baseline cell is planned
+    before any cell runs, so a plan that cannot host an RS block is a
+    ConfigError naming the system and axis value.  Every transmission draws
+    from its own RNG stream, derived from (seed, axis index, system index,
+    trial, sentence or LZ batch index).
     """
     if not sentences:
         raise ConfigError("sweep needs a nonempty test set")
@@ -199,19 +201,28 @@ def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
             if not sents:
                 raise ConfigError(f"no test sentences of length {value}")
         for sys_idx, system in enumerate(spec.systems):
-            if system == "deep" and (models is None or bits not in models):
-                raise ConfigError(f"no trained checkpoint for bit budget {bits}")
-            cells.append((axis_idx, value, sys_idx, system, bits, p_d, sents))
+            if system == "deep":
+                if models is None or bits not in models:
+                    raise ConfigError(f"no trained checkpoint for bit budget {bits}")
+                evaluate = partial(_eval_deep, models[bits], sents, p_d)
+            else:
+                size = spec.lz_batch if system == "gzip-batch" else 1
+                groups = [[s.words() for s in sents[i:i + size]]
+                          for i in range(0, len(sents), size)]
+                try:
+                    plans = {n: plan_group(bits, p_d, spec.fec_mode, n)
+                             for n in {len(g) for g in groups}}
+                except DomainError as exc:
+                    raise ConfigError(f"{system} at {spec.axis} {value}: {exc}") from exc
+                evaluate = partial(_eval_baseline, system, codebook, groups, plans)
+            cells.append((value, system, partial(evaluate, spec, axis_idx, sys_idx)))
 
     table = []
-    for axis_idx, value, sys_idx, system, bits, p_d, sents in cells:
-        if system == "deep":
-            trial_means = _eval_deep(models[bits], sents, p_d, spec, axis_idx, sys_idx)
-        else:
-            trial_means = _eval_baseline(system, codebook, sents, bits, p_d,
-                                         spec, axis_idx, sys_idx)
-        mean, stderr = _trial_stats(trial_means)
-        table.append(SweepResult(float(value), system, mean, stderr, spec.trials, spec.seed))
+    for value, system, evaluate in cells:
+        means = np.asarray(evaluate(), dtype=np.float64)
+        stderr = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
+        table.append(SweepResult(float(value), system, float(means.mean()), stderr,
+                                 spec.trials, spec.seed))
     return table
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, find, given, settings, strategies as st
 
+from textjscc import budget as budget_module
 from textjscc.budget import encode_batch_with_budget, encode_with_budget
 from textjscc.errors import DomainError
 from textjscc.fixed5 import fixed5_decode, fixed5_encode
@@ -148,3 +149,31 @@ class TestBatchBudgetMatchesFullParses:
         bits, kept, dropped, fits, _ = reference_batch_budget(batch, budget)
         assert np.array_equal(got.bits, bits) and got.kept == kept
         assert got.words_dropped == dropped and got.fits == fits
+
+
+@st.composite
+def words_and_budget(draw):
+    words = draw(st.lists(WORDS, max_size=10))
+    return words, draw(st.integers(0, lz_compress([" ".join(words)]).size + 10))
+
+
+class TestOneTruncationRule:
+    @settings(max_examples=300, deadline=None)
+    @given(words_and_budget())
+    def test_one_sentence_equals_a_batch_of_one(self, case):
+        words, budget = case
+        one = encode_with_budget(words, lambda text: lz_compress([text]), budget)
+        batch = encode_batch_with_budget([words], budget)
+        assert np.array_equal(one.bits, batch.bits) and one.bits.dtype == batch.bits.dtype
+        assert one.words_dropped == batch.words_dropped[0]
+        assert one.fits == batch.fits
+
+    def test_encoders_are_looked_up_at_call_time(self, monkeypatch):
+        """A wrapper installed after import sees every attempt, as the
+        benchmark's tracer needs."""
+        limits = []
+        real = budget_module.lz_compress
+        monkeypatch.setattr(budget_module, "lz_compress",
+                            lambda texts, limit=None: limits.append(limit) or real(texts, limit))
+        bbe = encode_batch_with_budget([["aa", "bb"], ["cc"]], 8)
+        assert limits == [16] * (sum(bbe.words_dropped) + 1)

@@ -590,6 +590,20 @@ class TestSweepCommand:
         rows = json.loads((out / "sweep_bits_per_sentence.json").read_text())
         assert [r["system"] for r in rows] == ["gzip-batch"]
 
+    def test_unhostable_plan_exits_2_before_any_output(self, workdir, capsys):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        code = run(["sweep", "--set", "sweep.axis=erasure_rate",
+                    "--set", "sweep.values=[0.01, 0.05, 0.3]",
+                    "--set", "sweep.systems=[fixed5]", "--set", "sweep.trials=1",
+                    "--set", "baseline.fec_mode=concrete"] + base)
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: fixed5 at erasure_rate 0.3: budget of "
+                                           "400 bits cannot host any RS block at p_d=0.3\n")
+        assert sorted(os.listdir(out)) == before
+
     def test_deep_sweep_needs_checkpoint(self, workdir, capsys):
         tmp, out, base = workdir
         run(["prepare"] + base)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import struct
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -10,8 +12,9 @@ import pytest
 from textjscc import model as model_module
 from textjscc import nn
 from textjscc.channel import erase
+from textjscc.checkpoint import load_model
 from textjscc.corpus import EOS_ID, SOS_ID, TokenizedSentence
-from textjscc.errors import DomainError, ShapeError
+from textjscc.errors import DomainError, IoError, ShapeError
 from textjscc.model import (
     JsccConfig,
     JsccModel,
@@ -26,6 +29,11 @@ def encoder_output(model, ids_batch):
     xs, _ = model._embed_steps(np.asarray(ids_batch))
     h_star, c_star, _ = model._encoder_forward(xs)
     return np.concatenate([h_star, c_star], axis=0)
+
+
+# every JsccConfig field that must be at least 1
+SIZE_FIELDS = ["vocab_size", "embed_dim", "encoder_stacks", "encoder_hidden",
+               "decoder_stacks", "decoder_hidden", "beam_width", "max_decode_len"]
 
 
 def tiny_config(**overrides):
@@ -54,6 +62,23 @@ class TestJsccConfig:
     def test_bad_decode_len(self):
         with pytest.raises(DomainError):
             tiny_config(max_decode_len=0)
+
+    @pytest.mark.parametrize("name", SIZE_FIELDS)
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_a_size_below_one_is_named_with_its_value(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 1, got {value}$"):
+            tiny_config(**{name: value})
+
+    @pytest.mark.parametrize("name", SIZE_FIELDS)
+    def test_checkpoint_header_with_a_size_below_one_is_an_io_error(self, tmp_path, name):
+        meta = {"config": dict(tiny_config().to_dict(), **{name: 0}), "extra": {},
+                "has_adam": False}
+        header = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "bad.tjscc"
+        path.write_bytes(b"TJSCC2" + struct.pack("<BI", 8, len(header)) + header
+                         + struct.pack("<I", 0))
+        with pytest.raises(IoError, match=f"malformed header: {name} must be >= 1, got 0$"):
+            load_model(str(path))
 
 
 class TestBinarizers:

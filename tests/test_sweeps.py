@@ -12,7 +12,8 @@ from textjscc.fixed5 import fixed5_encode
 from textjscc.huffman import codebook_for_pipeline, huffman_encode
 from textjscc.lzss import lz_compress
 from textjscc.model import JsccConfig, JsccModel
-from textjscc.sweeps import SweepResult, SweepSpec, emit_results, run_sweep
+from textjscc import sweeps
+from textjscc.sweeps import SweepResult, SweepSpec, emit_results, plan_group, run_sweep
 
 SENTENCES = [
     "the cat sat on the mat .",
@@ -213,6 +214,77 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="lz_batch"):
             SweepSpec(axis="bits_per_sentence", values=[200], systems=["gzip-batch"],
                       trials=1, seed=0, lz_batch=lz_batch)
+
+
+def short_frame_texts():
+    """32 sentences over the words of SENTENCES whose LZSS stream, budgeted
+    at 224 bits a sentence, lands between the 7152 source bits of a concrete
+    32 * 600-bit frame at p_d = 0.1 and the 32 * 224 of 32 one-sentence plans."""
+    pool = sorted({w for s in SENTENCES for w in s.split()})
+    rows = np.random.RandomState(26).randint(len(pool), size=(32, 13))
+    return [" ".join(pool[i] for i in row) for row in rows]
+
+
+class TestBaselinePlans:
+    def test_group_limit_never_exceeds_its_frame_plan(self):
+        """Where n one-sentence budgets overrun the frame's plan, which no
+        idealized plan and some concrete ones do, the limit falls to the
+        frame's share; everywhere else it is the one-sentence budget."""
+        short = {"idealized": 0, "concrete": 0}
+        for mode in short:
+            for p_d in (0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3):
+                for bits in range(16, 1200, 8):
+                    try:
+                        one, one_limit = plan_group(bits, p_d, mode)
+                    except DomainError:
+                        continue
+                    assert one == plan_budget(bits, p_d, mode)
+                    assert one_limit == one.source_bits
+                    for n in (2, 3, 4, 8, 16, 31, 32):
+                        frame, limit = plan_group(bits, p_d, mode, n)
+                        assert frame.total_bits == bits * n
+                        assert n * limit <= frame.source_bits
+                        if n * one.source_bits <= frame.source_bits:
+                            assert limit == one.source_bits
+                        else:
+                            short[mode] += 1
+                            assert limit == frame.source_bits // n
+        assert short == {"idealized": 0, "concrete": 456}
+
+    def test_short_frame_plan_runs_within_it(self, monkeypatch):
+        texts = short_frame_texts()
+        vocab = build_vocabulary(texts, 64)
+        sents = [tokenize(t, vocab) for t in texts]
+        words = [s.words() for s in sents]
+        frame = plan_budget(32 * 600, 0.1, "concrete").source_bits
+        assert (plan_budget(600, 0.1, "concrete").source_bits, frame) == (224, 7152)
+        assert frame < encode_batch_with_budget(words, 224).bits.size  # 7164
+        sent = []
+
+        def transmit(bits, plan, rng):
+            sent.append((bits.size, plan.source_bits))
+            return real(bits, plan, rng)
+
+        real = sweeps.transmit_baseline
+        monkeypatch.setattr(sweeps, "transmit_baseline", transmit)
+        spec = SweepSpec(axis="bits_per_sentence", values=[600], systems=["gzip-batch"],
+                         trials=2, seed=4, erasure_rate=0.1, fec_mode="concrete")
+        (row,) = run_sweep(spec, sents)
+        size = encode_batch_with_budget(words, frame // 32).bits.size
+        assert sent == [(size, frame)] * 2
+        assert 0.0 <= row.mean_wer <= 1.0
+
+    def test_unhostable_plan_fails_before_any_cell(self, corpus, monkeypatch):
+        _, sents, book = corpus
+        evaluated = []
+        monkeypatch.setattr(sweeps, "encode_group", lambda *a: evaluated.append(a))
+        spec = SweepSpec(axis="erasure_rate", values=[0.01, 0.05, 0.3],
+                         systems=["huffman", "fixed5"], trials=1, seed=0,
+                         bits_per_sentence=400, fec_mode="concrete")
+        with pytest.raises(ConfigError, match="^huffman at erasure_rate 0.3: budget of 400 "
+                                              "bits cannot host any RS block at p_d=0.3$"):
+            run_sweep(spec, sents, codebook=book)
+        assert evaluated == []
 
 
 class TestEmitResults:
