@@ -1,15 +1,17 @@
 """Command line entry point.
 
 Subcommands: prepare, train, transmit, sweep, embed, gradcheck.  Every
-command validates its configuration before touching the filesystem, all
-output files are written atomically through fileio.write_atomic, and all
-randomness flows from the single config seed: results are bit-reproducible
-from (config, seed) on one numpy and BLAS build at one BLAS thread count,
-which is one unless the environment sets OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS, for the same grouping of sentences into encoder batches
-(see training).  `transmit` and `sweep` plan and send the baselines through
-the same functions (sweeps.plan_group, encode_group and transmit_group), and
-the system names come from sweeps.SYSTEMS.
+command reads and checks its configuration and its inputs before its first
+write.  Files are written under `out` by fileio's writers: prepare writes
+vocab.txt, train_filtered.txt, test_filtered.txt and charfreq.tsv, train
+model.tjscc and trainlog.csv, sweep sweep_<axis>.csv and .json, and embed
+hamming.csv and mds.csv.  All randomness flows from the single config seed:
+results are bit-reproducible from (config, seed) on one numpy and BLAS build
+at one BLAS thread count, which is one unless the environment sets
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, for the same grouping of sentences
+into encoder batches (see training).  `transmit` and `sweep` plan and send
+the baselines through the same functions (sweeps.plan_group, encode_group
+and transmit_group), and the system names come from sweeps.SYSTEMS.
 channel.erasure_prob is the channel's p_d: the deep codec is erased at it,
 and a baseline's FecPlan, planned for it, carries it across the channel.
 
@@ -20,10 +22,10 @@ Set TEXTJSCC_LOG to error, info, or debug to control verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
+from dataclasses import astuple, fields
 
 from . import corpus as corpus_mod
 from .analysis import classical_mds, hamming_matrix
@@ -40,14 +42,14 @@ from .corpus import (
     filter_sentences,
     tokenize,
 )
-from .errors import ConfigError, DecodeFailure, IoError, TextJsccError
-from .fileio import write_atomic
+from .errors import ConfigError, DecodeFailure, DomainError, IoError, TextJsccError
+from .fileio import write_csv, write_lines
 from .gradcheck import TOLERANCE, run_verification_suite
 from .huffman import HuffmanCodebook, codebook_for_pipeline
 from .metrics import wer
 from .model import JsccModel, load_pretrained_embeddings
 from .sweeps import SYSTEMS, emit_results, encode_group, plan_group, run_sweep, transmit_group
-from .training import Trainer
+from .training import EpochLog, Trainer
 
 log = logging.getLogger("textjscc")
 
@@ -83,24 +85,22 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_prepare(cfg: RunConfig, args) -> int:
-    train_path = _require_file(cfg["corpus.train"], "corpus.train")
-    lines = corpus_mod.read_lines(train_path)
+    lines = corpus_mod.read_lines(_require_file(cfg["corpus.train"], "corpus.train"))
+    test_lines = (corpus_mod.read_lines(_require_file(cfg["corpus.test"], "corpus.test"))
+                  if cfg["corpus.test"] else None)
     vocab = build_vocabulary(lines, cfg["corpus.vocab_size"])
-    kept = filter_sentences(lines, vocab, cfg["corpus.min_len"],
-                            cfg["corpus.max_len"], cfg["corpus.max_unk_frac"])
+    limits = (cfg["corpus.min_len"], cfg["corpus.max_len"], cfg["corpus.max_unk_frac"])
+    kept = filter_sentences(lines, vocab, *limits)
+    test_kept = None if test_lines is None else filter_sentences(test_lines, vocab, *limits)
     freqs = char_frequencies(lines)
 
     vocab.save(_out_path(cfg, "vocab.txt"))
-    corpus_mod.write_lines(_out_path(cfg, "train_filtered.txt"), (s.raw for s in kept))
+    write_lines(_out_path(cfg, "train_filtered.txt"), (s.raw for s in kept))
     freqs.save(_out_path(cfg, "charfreq.tsv"))
     print(f"vocabulary: {len(vocab)} tokens")
     print(f"train sentences kept: {len(kept)} of {len(lines)}")
-    if cfg["corpus.test"]:
-        test_lines = corpus_mod.read_lines(_require_file(cfg["corpus.test"], "corpus.test"))
-        test_kept = filter_sentences(test_lines, vocab, cfg["corpus.min_len"],
-                                     cfg["corpus.max_len"], cfg["corpus.max_unk_frac"])
-        corpus_mod.write_lines(_out_path(cfg, "test_filtered.txt"),
-                               (s.raw for s in test_kept))
+    if test_kept is not None:
+        write_lines(_out_path(cfg, "test_filtered.txt"), (s.raw for s in test_kept))
         print(f"test sentences kept: {len(test_kept)} of {len(test_lines)}")
     print(f"character alphabet: {len(freqs.counts)} symbols, {freqs.total} chars")
     return 0
@@ -114,15 +114,9 @@ def _load_prepared(cfg: RunConfig):
     return vocab, sentences
 
 
-def _write_trainlog(path: str, rows: list) -> None:
-    with write_atomic(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "train_wer", "tf_prob", "grad_norm", "clip_rate",
-                         "sentences_per_s"])
-        for row in rows:
-            writer.writerow([row.epoch, repr(row.mean_loss), repr(row.train_wer),
-                             repr(row.tf_prob), repr(row.grad_norm), repr(row.clip_rate),
-                             repr(row.sentences_per_s)])
+def _write_trainlog(path: str, rows: list[EpochLog]) -> None:
+    header = ["loss" if f.name == "mean_loss" else f.name for f in fields(EpochLog)]
+    write_csv(path, header, map(astuple, rows))
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -195,7 +189,10 @@ def cmd_transmit(cfg: RunConfig, args) -> int:
         print(f"wer: {wer(sent.ids, hyp):.4f}")
         return 0
 
-    plan, source_bits = plan_group(cfg["model.bits"], p_d, cfg["baseline.fec_mode"])
+    try:
+        plan, source_bits = plan_group(cfg["model.bits"], p_d, cfg["baseline.fec_mode"])
+    except DomainError as exc:  # a concrete plan that cannot host an RS block
+        raise ConfigError(f"{args.system}: {exc}") from exc
     words = sent.words()
     codebook = _codebook(cfg) if args.system == "huffman" else None
     enc = encode_group(args.system, codebook, [words], source_bits)
@@ -243,28 +240,17 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_embed(cfg: RunConfig, args) -> int:
     vocab = Vocabulary.load(_require_file(_out_path(cfg, "vocab.txt"), "vocabulary"))
+    lines = corpus_mod.read_lines(_require_file(args.sentences, "sentences file"))
+    if len(lines) < 3:  # a 2-d MDS needs more than two points
+        raise ConfigError(f"embed needs at least 3 sentences, got {len(lines)} in {args.sentences}")
     model = _load_model_for(args.checkpoint or _out_path(cfg, "model.tjscc"),
                             "checkpoint", vocab)
-    lines = corpus_mod.read_lines(_require_file(args.sentences, "sentences file"))
-    if not lines:
-        raise ConfigError(f"no sentences in {args.sentences}")
-    codewords = model.encode_sentences([tokenize(line, vocab) for line in lines])
-    D = hamming_matrix(codewords)
-
-    ham_path = _out_path(cfg, "hamming.csv")
-    with write_atomic(ham_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + lines)
-        for label, row in zip(lines, D):
-            writer.writerow([label] + [int(v) for v in row])
-
+    D = hamming_matrix(model.encode_sentences([tokenize(line, vocab) for line in lines]))
     coords = classical_mds(D, dim=2)
-    mds_path = _out_path(cfg, "mds.csv")
-    with write_atomic(mds_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "x", "y"])
-        for label, (x, y) in zip(lines, coords):
-            writer.writerow([label, repr(float(x)), repr(float(y))])
+
+    ham_path, mds_path = _out_path(cfg, "hamming.csv"), _out_path(cfg, "mds.csv")
+    write_csv(ham_path, ["label"] + lines, ([s, *row] for s, row in zip(lines, D.tolist())))
+    write_csv(mds_path, ["label", "x", "y"], ([s, *xy] for s, xy in zip(lines, coords.tolist())))
     print(f"hamming matrix written to {ham_path}")
     print(f"mds coordinates written to {mds_path}")
     return 0

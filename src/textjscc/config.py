@@ -14,11 +14,11 @@ decoder, batch 128, erasure probability 0.05, 400-bit budget.
 from __future__ import annotations
 
 import copy
-import os
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, IoError
+from .fileio import read_text
 from .model import JsccConfig
 from .sweeps import SweepSpec
 from .training import TrainSettings
@@ -138,7 +138,7 @@ class RunConfig:
 
     # ----- derived objects -----
 
-    def jscc_config(self, vocab_size: int, bits: int | None = None) -> JsccConfig:
+    def jscc_config(self, vocab_size: int) -> JsccConfig:
         v = self.values
         return JsccConfig(
             vocab_size=vocab_size,
@@ -147,7 +147,7 @@ class RunConfig:
             encoder_hidden=v["model.encoder_hidden"],
             decoder_stacks=v["model.decoder_stacks"],
             decoder_hidden=v["model.decoder_hidden"],
-            bits=bits if bits is not None else v["model.bits"],
+            bits=v["model.bits"],
             beam_width=v["model.beam_width"],
             max_decode_len=v["model.max_decode_len"],
             precision=v["train.precision"],
@@ -192,13 +192,12 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     """Merge defaults, the config file, --set overrides, and flag overrides."""
     values = copy.deepcopy(DEFAULTS)
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file {path} does not exist")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        try:
+            doc = yaml.safe_load(read_text(path, "config file"))
+        except IoError as exc:
+            raise ConfigError(str(exc)) from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if doc is None:
             doc = {}
         if not isinstance(doc, dict):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DomainError, EmptyCorpus, IoError
-from .fileio import read_text, write_atomic
+from .fileio import read_text, write_lines
 
 PAD, UNK, SOS, EOS = "<pad>", "<unk>", "<sos>", "<eos>"
 SPECIALS = (PAD, UNK, SOS, EOS)
@@ -44,8 +44,7 @@ class Vocabulary:
 
     def save(self, path: str) -> None:
         """One token per line; the line number is the id."""
-        with write_atomic(path) as fh:
-            fh.write("\n".join(self.id_to_token) + "\n")
+        write_lines(path, self.id_to_token)
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
@@ -87,9 +86,7 @@ class CharFrequencyTable:
     def save(self, path: str) -> None:
         """character<TAB>count lines, descending count then character."""
         rows = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        with write_atomic(path) as fh:
-            for ch, n in rows:
-                fh.write(f"{ch}\t{n}\n")
+        write_lines(path, (f"{ch}\t{n}" for ch, n in rows))
 
     @classmethod
     def load(cls, path: str) -> "CharFrequencyTable":
@@ -184,9 +181,3 @@ def char_frequencies(corpus: Iterable[str]) -> CharFrequencyTable:
 def read_lines(path: str) -> list[str]:
     """Read a one-sentence-per-line UTF-8 corpus file."""
     return [line for line in read_text(path, "corpus file").splitlines() if line.strip()]
-
-
-def write_lines(path: str, lines: Iterable[str]) -> None:
-    with write_atomic(path) as fh:
-        for line in lines:
-            fh.write(line + "\n")

@@ -1,9 +1,15 @@
-"""The one way the toolkit writes a file, and reads a whole text file."""
+"""The one way the toolkit writes a file, and reads a whole text file.
+
+Every text file is written by write_csv (the tables) or write_lines (one
+record per line, and the sweep JSON), both through write_atomic.
+"""
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager, suppress
+from typing import Iterable, Sequence
 
 from .errors import IoError
 
@@ -29,6 +35,22 @@ def write_atomic(path: str, binary: bool = False):
     finally:
         with suppress(OSError):  # already renamed away on success
             os.remove(tmp)
+
+
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """A header row, then one row per sequence, by csv.writer: each field is
+    its str(), the shortest round-trip form for a float, and lines end in CRLF."""
+    with write_atomic(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Each string followed by a newline."""
+    with write_atomic(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def read_text(path: str, what: str) -> str:

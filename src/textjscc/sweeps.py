@@ -16,11 +16,10 @@ transmission draws from its own channel.stream.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from typing import Sequence
 
@@ -31,7 +30,7 @@ from .channel import erase, stream
 from .corpus import TokenizedSentence
 from .errors import ConfigError, DecodeFailure, DomainError
 from .fec import FecPlan, plan_budget, transmit_baseline
-from .fileio import write_atomic
+from .fileio import write_csv, write_lines
 from .fixed5 import fixed5_decode, fixed5_encode
 from .huffman import HuffmanCodebook, huffman_decode, huffman_encode
 from .lzss import lz_decompress
@@ -226,25 +225,13 @@ def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
     return table
 
 
-COLUMNS = ("axis_value", "system", "mean_wer", "stderr", "trials", "seed")
-
-
 def emit_results(table: list[SweepResult], path: str, format: str = "csv") -> None:
-    """Write the results table with a stable column order (atomic rename)."""
+    """Write the results table, one column or key per SweepResult field in
+    declaration order (atomic rename)."""
     if format == "csv":
-        with write_atomic(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(COLUMNS)
-            for row in table:
-                writer.writerow([repr(row.axis_value), row.system, repr(row.mean_wer),
-                                 repr(row.stderr), row.trials, row.seed])
+        write_csv(path, [f.name for f in fields(SweepResult)], map(astuple, table))
     elif format == "json":
-        rows = [{"axis_value": r.axis_value, "system": r.system,
-                 "mean_wer": r.mean_wer, "stderr": r.stderr,
-                 "trials": r.trials, "seed": r.seed} for r in table]
-        with write_atomic(path) as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_lines(path, [json.dumps([asdict(row) for row in table], indent=2)])
     else:
         raise DomainError(f"unknown results format {format!r}")
 

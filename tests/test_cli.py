@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textjscc import cli, training
+from textjscc.analysis import classical_mds
 from textjscc.checkpoint import load_for_resume, load_model, save_checkpoint
 from textjscc.config import DEFAULTS, load_config
 from textjscc.corpus import SPECIALS, Vocabulary, tokenize
@@ -74,6 +75,13 @@ class TestPrepare:
                     "--set", f"corpus.train={tmp}/nope.txt"])
         assert code == 3
         assert "nope.txt" in capsys.readouterr().err
+
+    def test_missing_test_corpus_writes_nothing(self, workdir, capsys):
+        tmp, out, base = workdir
+        code = run(["prepare", "--set", f"corpus.test={tmp}/nope.txt"] + base)
+        assert code == 3
+        assert "nope.txt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unconfigured_corpus_is_config_error(self, workdir):
         tmp, out, _ = workdir
@@ -165,6 +173,20 @@ class TestFlags:
             assert run([name, "--help"]) == 0
             text = capsys.readouterr().out
             assert "--config" in text and "--set" in text and "--seed" in text
+
+    @pytest.mark.parametrize("kind", ["missing", "not_utf8", "directory"])
+    def test_unreadable_config_exits_2(self, workdir, capsys, kind):
+        tmp, out, base = workdir
+        path = tmp / "run.yaml"
+        if kind == "not_utf8":
+            path.write_bytes(b"seed: 7 # \xff\n")
+        elif kind == "directory":
+            path.mkdir()
+        assert run(["prepare", "--config", str(path)] + base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: "), err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_no_partial_writes_on_validation_failure(self, workdir):
         tmp, out, base = workdir
@@ -348,6 +370,16 @@ class TestTrain:
         assert rows[0] == "epoch,loss,train_wer,tf_prob,grad_norm,clip_rate,sentences_per_s"
         assert len(rows) == 3
 
+    def test_trainlog_row_bytes(self, tmp_path):
+        # each value is written as its shortest round-trip form, a numpy
+        # scalar included, and the lines end in CRLF
+        path = str(tmp_path / "trainlog.csv")
+        cli._write_trainlog(path, [training.EpochLog(2, 1 / 3, float("nan"), 0.5,
+                                                     np.float64(2.5), 0.0, 1e-05)])
+        assert (tmp_path / "trainlog.csv").read_bytes() == (
+            b"epoch,loss,train_wer,tf_prob,grad_norm,clip_rate,sentences_per_s\r\n"
+            b"2,0.3333333333333333,nan,0.5,2.5,0.0,1e-05\r\n")
+
     def test_resume_reproduces_unbroken_run(self, workdir):
         tmp, out, base = workdir
         run(["prepare"] + base)
@@ -512,6 +544,17 @@ class TestTransmit:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-3:] == ["decode failure: 32 erasures exceed capability 31",
                               "decoded: ", "wer: 1.0000"]
+
+    def test_unhostable_plan_exits_2(self, workdir, capsys):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        capsys.readouterr()
+        code = run(["transmit", "--sentence", "the cat sat on the mat .", "--system", "fixed5",
+                    "--set", "baseline.fec_mode=concrete", "--set", "channel.erasure_prob=0.1",
+                    "--set", "model.bits=20"] + base)
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: fixed5: budget of 20 bits cannot "
+                                           "host any RS block at p_d=0.1\n")
 
     def test_corrupt_frequency_table_exits_3(self, workdir, capsys):
         tmp, out, base = workdir
@@ -726,13 +769,31 @@ class TestEmbedCommand:
         for row, sent in zip(grouped, sents):
             assert np.array_equal(row, model.encode(sent.ids))
 
-    def test_single_sentence_domain_error(self, workdir, capsys):
+    def test_mds_rows_are_the_coordinates_of_the_hamming_matrix(self, workdir):
         tmp, out, base = self._prepare_model(workdir)
-        sentences = tmp / "one.txt"
-        sentences.write_text("the cat sat on the mat .\n")
+        lines = ["the cat , sat on the mat .", "a dog ran across the street .",
+                 "the bird sang in the garden all day ."]
+        (tmp / "sents.txt").write_text("\n".join(lines) + "\n")
+        assert run(["embed", "--sentences", str(tmp / "sents.txt")] + SMALL_MODEL + base) == 0
+        ham = (out / "hamming.csv").read_bytes().decode().split("\r\n")
+        assert ham[0] == 'label,"the cat , sat on the mat .",' + ",".join(lines[1:])
+        D = np.array([[int(v) for v in row.rsplit(",", 3)[1:]] for row in ham[1:4]])
+        x, y = classical_mds(D, dim=2)[0]
+        mds = (out / "mds.csv").read_bytes().split(b"\r\n")
+        assert mds[1] == f'"the cat , sat on the mat .",{float(x)!r},{float(y)!r}'.encode()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_than_three_sentences_exit_2_without_output(self, workdir, capsys, count):
+        tmp, out, base = self._prepare_model(workdir)
+        before = sorted(os.listdir(out))
+        sentences = tmp / "few.txt"
+        sentences.write_text("".join(line + "\n" for line in CORPUS[:count]))
+        capsys.readouterr()
         code = run(["embed", "--sentences", str(sentences)] + SMALL_MODEL + base)
-        assert code == 3
-        assert "point" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == (f"config error: embed needs at least 3 sentences, "
+                                           f"got {count} in {sentences}\n")
+        assert sorted(os.listdir(out)) == before
 
 
 class TestVocabularyMismatch:
@@ -755,7 +816,8 @@ class TestVocabularyMismatch:
     def test_exits_2_without_traceback(self, workdir, capsys, command, direction):
         tmp, out, base = workdir
         run(["prepare"] + base)
-        (tmp / "sents.txt").write_text("the cat sat on the mat .\na dog ran across the street .\n")
+        (tmp / "sents.txt").write_text("the cat sat on the mat .\na dog ran across the street .\n"
+                                       "the bird sang in the garden all day .\n")
         vocab = Vocabulary.load(str(out / "vocab.txt"))
         # a smaller checkpoint meets word ids past its embedding table; a
         # larger one would decode ids the vocabulary does not hold
@@ -804,7 +866,8 @@ class TestUnwritableOutput:
         run(["prepare"] + base)
         if command == "embed":
             run(["train", "--set", "train.epochs=0"] + SMALL_MODEL + base)
-        (tmp / "sents.txt").write_text("the cat sat on the mat .\na dog ran across the street .\n")
+        (tmp / "sents.txt").write_text("the cat sat on the mat .\na dog ran across the street .\n"
+                                       "the bird sang in the garden all day .\n")
         (out / blocked).mkdir()
         capsys.readouterr()
         code = run(self.COMMANDS[command](tmp) + SMALL_MODEL + base)

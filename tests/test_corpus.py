@@ -180,6 +180,12 @@ class TestFiles:
         again = CharFrequencyTable.load(path)
         assert again.counts == table.counts
 
+    def test_saved_bytes(self, tmp_path):
+        build_vocabulary(["the cat sat the"], max_size=6).save(str(tmp_path / "vocab.txt"))
+        assert (tmp_path / "vocab.txt").read_bytes() == b"<pad>\n<unk>\n<sos>\n<eos>\nthe\ncat\n"
+        char_frequencies(["b\ta", "ab"]).save(str(tmp_path / "charfreq.tsv"))
+        assert (tmp_path / "charfreq.tsv").read_bytes() == b"a\t2\nb\t2\n\t\t1\n"
+
     @pytest.mark.parametrize("text", ["a\t3\nb\n", "a\tx\n", "ab\t3\n", "a\t-1\n", "\t\n"])
     def test_freq_table_malformed_line(self, tmp_path, text):
         path = tmp_path / "charfreq.tsv"

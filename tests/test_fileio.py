@@ -3,7 +3,7 @@ import os
 import pytest
 
 from textjscc.errors import IoError
-from textjscc.fileio import write_atomic
+from textjscc.fileio import read_text, write_atomic, write_csv, write_lines
 
 
 class TestWriteAtomic:
@@ -29,3 +29,17 @@ class TestWriteAtomic:
                 fh.write("partial")
                 raise ValueError("mid-write")
         assert os.listdir(tmp_path) == []
+
+
+class TestTextWriters:
+    def test_csv_quotes_and_crlf(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_csv(path, ["label", "x"], [["a, b", 0.1], ['say "hi"', 3]])
+        assert (tmp_path / "t.csv").read_bytes() == (b'label,x\r\n"a, b",0.1\r\n'
+                                                     b'"say ""hi""",3\r\n')
+
+    def test_lines_end_in_newline(self, tmp_path):
+        path = str(tmp_path / "t.txt")
+        write_lines(path, iter(["caf\u00e9", "", "x\ty"]))
+        assert (tmp_path / "t.txt").read_bytes() == "caf\u00e9\n\nx\ty\n".encode("utf-8")
+        assert read_text(path, "lines") == "caf\u00e9\n\nx\ty\n"

@@ -327,6 +327,12 @@ class TestEmitResults:
         with open(path) as fh:
             jsonschema.validate(json.load(fh), schema)
 
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit_results([SweepResult(0.05, "gzip-batch", 1 / 3, float("nan"), 1, 7)], str(path))
+        assert path.read_bytes() == (b"axis_value,system,mean_wer,stderr,trials,seed\r\n"
+                                     b"0.05,gzip-batch,0.3333333333333333,nan,1,7\r\n")
+
     def test_byte_identical_rewrites(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit_results(self._table(), a, "csv")
