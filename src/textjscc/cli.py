@@ -4,9 +4,10 @@ Subcommands: prepare, train, transmit, sweep, embed, gradcheck.  Every
 command reads and checks its configuration and its inputs before its first
 write.  Files are written under `out` by fileio's writers: prepare writes
 vocab.txt, train_filtered.txt, test_filtered.txt and charfreq.tsv, train
-model.tjscc and trainlog.csv, sweep sweep_<axis>.csv and .json, and embed
-hamming.csv and mds.csv.  All randomness flows from the single config seed:
-results are bit-reproducible from (config, seed) on one numpy and BLAS build
+model.tjscc and trainlog.csv (train --resume keeps the log's rows up to the
+checkpoint's epoch, then appends), sweep sweep_<axis>.csv and .json, and
+embed hamming.csv and mds.csv.  All randomness flows from the single config
+seed: results are bit-reproducible from (config, seed) on one numpy and BLAS build
 at one BLAS thread count, which is one unless the environment sets
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, for the same grouping of sentences
 into encoder batches (see training).  `transmit` and `sweep` plan and send
@@ -43,7 +44,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import ConfigError, DecodeFailure, DomainError, IoError, TextJsccError
-from .fileio import write_csv, write_lines
+from .fileio import read_csv, write_csv, write_lines
 from .gradcheck import TOLERANCE, run_verification_suite
 from .huffman import HuffmanCodebook, codebook_for_pipeline
 from .metrics import wer
@@ -114,20 +115,33 @@ def _load_prepared(cfg: RunConfig):
     return vocab, sentences
 
 
-def _write_trainlog(path: str, rows: list[EpochLog]) -> None:
-    header = ["loss" if f.name == "mean_loss" else f.name for f in fields(EpochLog)]
-    write_csv(path, header, map(astuple, rows))
+_TRAINLOG_HEADER = ["loss" if f.name == "mean_loss" else f.name for f in fields(EpochLog)]
+
+
+def _write_trainlog(path: str, rows: list[EpochLog], earlier=()) -> None:
+    write_csv(path, _TRAINLOG_HEADER, [*earlier, *map(astuple, rows)])
+
+
+def _read_trainlog(path: str, epoch: int) -> list[list[str]]:
+    """The log's rows for epochs up to `epoch`, the resumed checkpoint's: later
+    rows belong to epochs the resumed run trains again.  No log reads as none."""
+    rows = read_csv(path, "training log") if os.path.exists(path) else [_TRAINLOG_HEADER]
+    if rows[:1] != [_TRAINLOG_HEADER] or not all(r[:1] and r[0].isdigit() for r in rows[1:]):
+        raise IoError(f"training log {path} does not hold one row per epoch")
+    return [r for r in rows[1:] if int(r[0]) <= epoch]
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
     vocab, sentences = _load_prepared(cfg)
     plan = batch_by_length(sentences, cfg["train.batch_size"])
     settings = cfg.train_settings()
+    log_path = _out_path(cfg, "trainlog.csv")
 
     if args.resume:
         model, adam, epoch = load_for_resume(_require_file(args.resume, "checkpoint"),
                                              settings.lr, settings.clip)
         _check_vocabulary(model, args.resume, "checkpoint", vocab)
+        earlier = _read_trainlog(log_path, epoch)
         trainer = Trainer(model, settings, adam, start_epoch=epoch)
         log.info("resumed from %s at epoch %d", args.resume, trainer.epoch)
     else:
@@ -136,16 +150,16 @@ def cmd_train(cfg: RunConfig, args) -> int:
             n = load_pretrained_embeddings(model, vocab,
                                            _require_file(cfg["model.glove"], "embedding file"))
             log.info("loaded %d pretrained embedding rows", n)
+        earlier = []
         trainer = Trainer(model, settings)
 
     ckpt_path = _out_path(cfg, "model.tjscc")
-    log_path = _out_path(cfg, "trainlog.csv")
     every = cfg["train.checkpoint_every"]
     rows = []
 
     def on_epoch(entry):
         rows.append(entry)
-        _write_trainlog(log_path, rows)
+        _write_trainlog(log_path, rows, earlier)
         if entry.epoch % every == 0:
             save_checkpoint(ckpt_path, model, trainer.adam, {"epoch": entry.epoch})
         log.info("epoch %d loss %.4f wer %.3f tf %.2f grad norm %.3g clip rate %.2f "
@@ -155,7 +169,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     trainer.run(sentences, plan, cfg["train.epochs"], on_epoch=on_epoch)
     if not rows or rows[-1].epoch % every != 0:  # else on_epoch has just saved both
         save_checkpoint(ckpt_path, model, trainer.adam, {"epoch": trainer.epoch})
-        _write_trainlog(log_path, rows)
+        _write_trainlog(log_path, rows, earlier)
     print(f"checkpoint written to {ckpt_path}")
     if rows:
         print(f"final epoch {rows[-1].epoch}: loss {rows[-1].mean_loss:.4f} "
@@ -275,43 +289,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Joint source-channel coding of text over erasure channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", metavar="PATH", help="flat-key YAML config file")
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key (repeatable)")
+        return p
 
-    p = sub.add_parser("prepare", help="build vocabulary, filtered corpus, char stats")
-    common(p)
-    p = sub.add_parser("train", help="train the deep codec")
-    common(p)
+    command("prepare", cmd_prepare, "build vocabulary, filtered corpus, char stats")
+    p = command("train", cmd_train, "train the deep codec")
     p.add_argument("--resume", metavar="PATH", help="continue from a checkpoint")
-    p = sub.add_parser("transmit", help="send one sentence through a system")
-    common(p)
+    p = command("transmit", cmd_transmit, "send one sentence through a system")
     p.add_argument("--sentence", required=True, help="input sentence text")
     p.add_argument("--system", default="deep", choices=SYSTEMS)
     p.add_argument("--checkpoint", metavar="PATH", help="deep model checkpoint")
-    p = sub.add_parser("sweep", help="run the configured WER sweep")
-    common(p)
-    p = sub.add_parser("embed", help="hamming + MDS analysis of sentence codewords")
-    common(p)
+    command("sweep", cmd_sweep, "run the configured WER sweep")
+    p = command("embed", cmd_embed, "hamming + MDS analysis of sentence codewords")
     p.add_argument("--sentences", required=True, metavar="PATH",
                    help="file with one sentence per line")
     p.add_argument("--checkpoint", metavar="PATH", help="deep model checkpoint")
-    p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    common(p)
+    command("gradcheck", cmd_gradcheck, "finite-difference verification suite")
     return parser
-
-
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "transmit": cmd_transmit,
-    "sweep": cmd_sweep,
-    "embed": cmd_embed,
-    "gradcheck": cmd_gradcheck,
-}
 
 
 def main(argv=None) -> int:
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, args.set, args.seed, args.out)
-        return _COMMANDS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

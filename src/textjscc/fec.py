@@ -9,25 +9,26 @@ source/channel baselines.  Concrete mode actually codes byte symbols and can
 fail when erasures exceed n - k.
 
 Concrete planning is closed-form.  A byte symbol is erased with probability
-q = 1 - (1 - p_d)^8, and an (n, kb) block is valid when n <= 255 and
-n - kb >= ceil(1.1 * q * n), a 10% margin over its expected erasures.  Let
-n(kb) be the shortest valid n for kb data symbols.  If n is valid for kb + 1,
-then n - 1 is valid for kb, because the margin does not shrink as n grows.
-So the kb that have a valid n are 1..K* (closed downward, K* <= 254, since
-n > kb), and n(kb) strictly increases with kb.  Greedy splitting of k data
-symbols therefore gives f = (k - 1) // K* full blocks (n(K*), K*) and one
-last block (n(r), r) with r = k - f * K*.  The blocks' total length
-f * n(K*) + n(r) strictly increases with k, so the largest k whose blocks fit
-in total_bits // 8 symbols takes as many full blocks as leave room for
-n(1), then the largest r that fits in the rest.
+q = 1 - (1 - p_d)^8, and an (n, kb) block is valid when kb < n <= 255 and
+n - kb >= ceil(1.1 * q * n), a 10% margin over its expected erasures, so n
+symbols host at most c(n) = min(n - 1, n - ceil(1.1 * q * n)) data symbols.
+The margin does not shrink as n grows, so if n is valid for kb + 1, n - 1 is
+valid for kb: the kb with a valid n are 1..K* = max c, and the shortest valid
+n(kb), the first n where the running maximum of c reaches kb, strictly
+increases with kb.  Greedy splitting of k data symbols therefore gives
+f = (k - 1) // K* full blocks (n(K*), K*) and a last block (n(r), r),
+r = k - f * K*.  Their total length f * n(K*) + n(r) strictly increases with
+k, so the largest k whose blocks fit in total_bits // 8 symbols takes as many
+full blocks as leave room for n(1), then the largest r that fits in the rest.
 
 GF(256) arithmetic is one pair of numpy tables, GF_EXP and GF_LOG, and one
-multiply, gf_mul, that takes ints and arrays alike.  Systematic encoding is
-linear: the parity of data symbol i is data[i] * (x^(n-1-i) mod g), so each
-code keeps those k remainders as a k x (n-k) parity matrix and rs_encode is
-one table product of the data with it, reduced by XOR.  Erasure decoding
-takes the erased values in closed form by Forney's formula, in array calls
-through the same tables.
+multiply, gf_mul, that takes ints and arrays alike.  The generator g and the
+erasure locator are the one product of linear factors, _root_product.
+Systematic encoding is linear: the parity of data symbol i is data[i] *
+(x^(n-1-i) mod g), so each code keeps those k remainders as a k x (n-k)
+parity matrix and rs_encode is one table product of the data with it,
+reduced by XOR.  Erasure decoding takes the erased values in closed form by
+Forney's formula, in array calls through the same tables.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def gf_mul(a, b):
     return GF_EXP[GF_LOG[a] + GF_LOG[b]]
 
 
+def _root_product(logs) -> np.ndarray:
+    """[1, e_1, ..., e_t]: prod (x + alpha^l) over l in logs, highest degree
+    first, which is prod (1 + alpha^l x) lowest degree first."""
+    coeffs = np.zeros(len(logs) + 1, dtype=np.intp)
+    coeffs[0] = 1
+    for log in logs:
+        coeffs[1:] ^= GF_EXP[GF_LOG[coeffs[:-1]] + log]
+    return coeffs
+
+
 class RsCode:
     """Systematic (n, k) Reed-Solomon code; corrects any <= n-k erasures.
 
@@ -72,12 +83,8 @@ class RsCode:
     def __init__(self, n: int, k: int):
         if not 1 <= k < n <= 255:
             raise DomainError(f"invalid RS parameters n={n}, k={k}")
-        self.n = n
-        self.k = k
-        gen = np.ones(1, dtype=np.intp)
-        for root in GF_EXP[: n - k]:
-            # multiply by (x - root); subtraction is xor in GF(2^8)
-            gen = np.append(gen, 0) ^ np.append(0, gf_mul(gen, root))
+        self.n, self.k = n, k
+        gen = _root_product(np.arange(n - k))
         # x^(n-k) mod g is g's tail; each higher power is x times the one
         # below, with the carried leading coefficient folded back through g.
         parity = np.empty((k, n - k), dtype=np.intp)
@@ -134,13 +141,9 @@ def rs_decode_erasures(received: Sequence[int], erasures: Sequence[int], code: R
     terms = GF_EXP[(GF_LOG[cw[known]] + d[:, None] * (n - 1 - known)) % 255]
     synd = np.bitwise_xor.reduce(terms, axis=1)
     logx = n - 1 - positions
-    locator = np.zeros(t + 1, dtype=np.intp)  # lowest degree first
-    locator[0] = 1
-    for lx in logx:
-        locator[1:] ^= GF_EXP[GF_LOG[locator[:-1]] + lx]
     # omega_m = sum over l <= m of S_(m-l) L_l; tril drops the wrapped l > m
     omega = np.bitwise_xor.reduce(
-        np.tril(GF_EXP[GF_LOG[synd][d[:, None] - d] + GF_LOG[locator[:t]]]), axis=1)
+        np.tril(GF_EXP[GF_LOG[synd][d[:, None] - d] + GF_LOG[_root_product(logx)[:t]]]), axis=1)
     numer = np.bitwise_xor.reduce(GF_EXP[GF_LOG[omega] + (-np.outer(logx, d)) % 255], axis=1)
     factors = GF_LOG[GF_EXP[(logx - logx[:, None]) % 255] ^ 1]  # log(1 + X_k / X_j)
     np.fill_diagonal(factors, 0)
@@ -170,11 +173,8 @@ def plan_budget(total_bits: int, p_d: float, mode: str = "idealized") -> FecPlan
     idealized: parity = ceil(total * p_d) bits and downstream transmission is
     assumed perfectly corrected.  concrete: byte-symbol RS blocks sized with a
     10% margin over the expected symbol erasures, holding the most data
-    symbols k whose blocks fit in total // 8 symbols.  With the table n(kb)
-    of shortest valid block lengths, valid for kb = 1..K*, the blocks are
-    f full (n(K*), K*) blocks and a last (n(r), r) block (module docstring);
-    the fitting k takes the most full blocks that leave room for n(1), then
-    the largest r with n(r) in the remaining symbols.
+    symbols k whose blocks fit in total // 8 symbols: full blocks and one
+    last block, read off the table of shortest block lengths (module docstring).
     """
     if not 0.0 <= p_d < 1.0:
         raise DomainError(f"erasure probability {p_d} outside [0, 1)")
@@ -201,17 +201,10 @@ def plan_budget(total_bits: int, p_d: float, mode: str = "idealized") -> FecPlan
 def _shortest_block_lengths(q: float) -> list[int]:
     """n(kb) for kb = 1..K*: the shortest n <= 255 with n > kb and
     n - kb >= ceil(1.1 * q * n); entry kb - 1 holds n(kb)."""
-    lengths: list[int] = []
-    n = 2
-    for kb in range(1, 255):
-        # n(kb) > n(kb - 1), so the search resumes where the last one ended
-        n = max(n, kb + 1)
-        while n <= 255 and n - kb < math.ceil(1.1 * q * n - 1e-9):
-            n += 1
-        if n > 255:
-            break
-        lengths.append(n)
-    return lengths
+    n = np.arange(2, 256)
+    # the largest kb that n hosts, and the largest that any n' <= n hosts
+    best = np.maximum.accumulate(np.minimum(n - 1, n - np.ceil(1.1 * q * n - 1e-9)))
+    return (np.searchsorted(best, np.arange(1, best[-1] + 1)) + 2).tolist()
 
 
 def transmit_baseline(sentence_bits: np.ndarray, plan: FecPlan,

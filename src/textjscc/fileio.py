@@ -1,4 +1,4 @@
-"""The one way the toolkit writes a file, and reads a whole text file.
+"""The one way the toolkit writes a file, and reads a whole text file or table.
 
 Every text file is written by write_csv (the tables) or write_lines (one
 record per line, and the sweep JSON), both through write_atomic.
@@ -7,6 +7,7 @@ record per line, and the sweep JSON), both through write_atomic.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager, suppress
 from typing import Iterable, Sequence
@@ -61,3 +62,8 @@ def read_text(path: str, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_csv(path: str, what: str) -> list[list[str]]:
+    """The rows of the table at path, each a list of strings; IoError as read_text."""
+    return list(csv.reader(io.StringIO(read_text(path, what))))

@@ -7,8 +7,8 @@ Window 4096, match lengths 3..18.  Greedy parse: each token is the longest
 match that starts within the 4096 bytes before it (the nearest start on a
 tie), else a literal.  Each match is found by searching the window itself, so
 the parse keeps no state between tokens.  Sentences in a batch are joined
-with newlines before parsing, which is what amortizes the cost across the
-batch.
+with newlines before parsing, which amortizes the cost across the batch.  The
+decoder reads each field whole, as one int(..., 2) of the stream's digits.
 
 Early exit: given a bit `limit`, the parse stops at the first token whose
 emission takes the stream past `limit` bits and returns None.  Tokens are
@@ -80,31 +80,23 @@ def compress_bytes(data: bytes, limit: int | None = None) -> np.ndarray | None:
 
 def decompress_bytes(bits: np.ndarray) -> bytes:
     """Exact inverse of compress_bytes; the bit vector must end on a token boundary."""
-    seq = np.asarray(bits, dtype=np.uint8).tolist()
-    n = len(seq)
+    digits = (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
     out = bytearray()
     pos = 0
-
-    def take(width: int) -> int:
-        nonlocal pos
-        if pos + width > n:
+    while pos < len(digits):
+        match = digits[pos] == "1"
+        end = pos + _FLAG_BITS + (_OFFSET_BITS + _LENGTH_BITS if match else _LITERAL_BITS)
+        if end > len(digits):
             raise CorruptStream("token truncated at end of stream")
-        value = 0
-        for k in range(width):
-            value = (value << 1) | seq[pos + k]
-        pos += width
-        return value
-
-    while pos < n:
-        if take(_FLAG_BITS):
-            offset = take(_OFFSET_BITS) + 1
-            length = take(_LENGTH_BITS) + MIN_MATCH
+        if match:
+            offset = int(digits[pos + _FLAG_BITS : end - _LENGTH_BITS], 2) + 1
             if offset > len(out):
                 raise CorruptStream("match references before start of output")
-            for _ in range(length):
+            for _ in range(int(digits[end - _LENGTH_BITS : end], 2) + MIN_MATCH):
                 out.append(out[-offset])
         else:
-            out.append(take(_LITERAL_BITS))
+            out.append(int(digits[pos + _FLAG_BITS : end], 2))
+        pos = end
     return bytes(out)
 
 

@@ -31,6 +31,8 @@ CORPUS = [
     "a child waves at the slow train .",
 ]
 
+TRAINLOG_LINE = "epoch,loss,train_wer,tf_prob,grad_norm,clip_rate,sentences_per_s"
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -367,7 +369,7 @@ class TestTrain:
         args = ["train", "--seed", "3", "--set", "train.epochs=2"] + SMALL_MODEL + base
         assert run(args) == 0
         rows = (out / "trainlog.csv").read_text().splitlines()
-        assert rows[0] == "epoch,loss,train_wer,tf_prob,grad_norm,clip_rate,sentences_per_s"
+        assert rows[0] == TRAINLOG_LINE
         assert len(rows) == 3
 
     def test_trainlog_row_bytes(self, tmp_path):
@@ -394,6 +396,81 @@ class TestTrain:
         resumed, _ = load_model(str(out / "model.tjscc"))
         for p, q in zip(straight.parameters(), resumed.parameters()):
             assert np.array_equal(p.value, q.value), p.name
+
+    @staticmethod
+    def _log(out, drop_rate=False):
+        """trainlog.csv's lines, without the wall-clock sentences_per_s column
+        when drop_rate is set."""
+        lines = (out / "trainlog.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines] if drop_rate else lines
+
+    def test_resumed_log_matches_unbroken_run(self, workdir):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3"] + SMALL_MODEL + base
+        assert run(args + ["--set", "train.epochs=3"]) == 0
+        straight = self._log(out, drop_rate=True)
+
+        assert run(args + ["--set", "train.epochs=2"]) == 0
+        mid = str(out / "mid.tjscc")
+        os.replace(str(out / "model.tjscc"), mid)
+        assert run(args + ["--set", "train.epochs=1", "--resume", mid]) == 0
+        assert len(straight) == 4
+        assert self._log(out, drop_rate=True) == straight
+
+    def test_zero_epoch_resume_keeps_the_log(self, workdir):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3"] + SMALL_MODEL + base
+        assert run(args + ["--set", "train.epochs=2"]) == 0
+        before = (out / "trainlog.csv").read_bytes()
+        mid = str(out / "mid.tjscc")
+        os.replace(str(out / "model.tjscc"), mid)
+        assert run(args + ["--set", "train.epochs=0", "--resume", mid]) == 0
+        assert (out / "trainlog.csv").read_bytes() == before
+
+    def test_resume_drops_epochs_past_the_checkpoint(self, workdir):
+        """A log written past the checkpoint it resumes from, as by a run
+        interrupted between checkpoints, loses those epochs' rows."""
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3"] + SMALL_MODEL + base
+        assert run(args + ["--set", "train.epochs=2"]) == 0
+        two = (out / "trainlog.csv").read_bytes()
+        mid = str(out / "mid.tjscc")
+        os.replace(str(out / "model.tjscc"), mid)
+        assert run(args + ["--set", "train.epochs=1", "--resume", mid]) == 0
+        assert len(self._log(out)) == 4
+        assert run(args + ["--set", "train.epochs=0", "--resume", mid]) == 0
+        assert (out / "trainlog.csv").read_bytes() == two
+
+    def test_resume_without_a_log_starts_one(self, workdir):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3"] + SMALL_MODEL + base
+        assert run(args + ["--set", "train.epochs=2"]) == 0
+        mid = str(out / "mid.tjscc")
+        os.replace(str(out / "model.tjscc"), mid)
+        os.remove(out / "trainlog.csv")
+        assert run(args + ["--set", "train.epochs=1", "--resume", mid]) == 0
+        assert [line.split(",")[0] for line in self._log(out)] == ["epoch", "3"]
+
+    @pytest.mark.parametrize("log", ["epoch,loss\r\n", "", "not,a,log\r\n",
+                                     TRAINLOG_LINE + "\r\nx,1,1,1,1,1,1\r\n"],
+                             ids=["short-header", "empty", "foreign", "bad-epoch"])
+    def test_unreadable_log_exits_3_and_keeps_it(self, workdir, capsys, log):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        args = ["train", "--seed", "3"] + SMALL_MODEL + base
+        assert run(args + ["--set", "train.epochs=1"]) == 0
+        mid = str(out / "mid.tjscc")
+        os.replace(str(out / "model.tjscc"), mid)
+        (out / "trainlog.csv").write_bytes(log.encode())
+        capsys.readouterr()
+        assert run(args + ["--set", "train.epochs=1", "--resume", mid]) == 3
+        assert "does not hold one row per epoch" in capsys.readouterr().err
+        assert (out / "trainlog.csv").read_bytes() == log.encode()
+        assert not (out / "model.tjscc").exists()
 
     def test_resume_warns_once_when_the_build_differs(self, workdir, caplog):
         """`train --resume` says nothing under the build that wrote the

@@ -122,16 +122,38 @@ def reference_decode_erasures(received, erasures, code):
     return cw[: code.k]
 
 
-@functools.lru_cache(maxsize=None)
 def slow_generator(n: int, k: int) -> tuple:
     """g(x) = prod_{i<n-k} (x - alpha^i), highest degree first, built with
     the carry-less multiply alone (alpha = 2)."""
-    gen, root = [1], 1
-    for _ in range(n - k):
-        # multiply by (x - root); subtraction is xor in GF(2^8)
-        gen = [a ^ slow_gf_mul(b, root) for a, b in zip(gen + [0], [0] + gen)]
-        root = slow_gf_mul(root, 2)
-    return tuple(gen)
+    return _slow_generator_of_degree(n - k)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _slow_generator_of_degree(m: int) -> tuple:
+    """(g, alpha^m) for the degree-m generator g, each from the one of
+    degree m - 1, so every degree up to 254 costs one factor."""
+    if m == 0:
+        return (1,), 1
+    gen, root = _slow_generator_of_degree(m - 1)
+    # multiply by (x - root); subtraction is xor in GF(2^8)
+    gen = tuple(a ^ slow_gf_mul(b, root) for a, b in zip(gen + (0,), (0,) + gen))
+    return gen, slow_gf_mul(root, 2)
+
+
+def reference_shortest_block_lengths(q: float) -> list:
+    """The resumed linear scan the array form of fec._shortest_block_lengths
+    replaced: n(kb) for kb = 1, 2, ... until no n <= 255 is valid."""
+    lengths = []
+    n = 2
+    for kb in range(1, 255):
+        # n(kb) > n(kb - 1), so the search resumes where the last one ended
+        n = max(n, kb + 1)
+        while n <= 255 and n - kb < math.ceil(1.1 * q * n - 1e-9):
+            n += 1
+        if n > 255:
+            break
+        lengths.append(n)
+    return lengths
 
 
 def slow_poly_remainder(dividend: list, divisor: list) -> list:
@@ -248,6 +270,14 @@ class TestRsEncode:
         assert cw[:k] == word
         assert cw[k:] == slow_poly_remainder(word + [0] * (n - k), slow_generator(n, k))
         assert all(type(v) is int for v in cw)
+
+    def test_generator_of_every_degree(self):
+        """The one root product is g(x) for every n - k a code can have, read
+        off as parity row k - 1 (x^(n-k) mod g, g's tail) of an (n, 1) code."""
+        for m in range(1, 255):
+            gen = list(slow_generator(m + 1, 1))
+            assert fec._root_product(np.arange(m)).tolist() == gen, m
+            assert RsCode(m + 1, 1).parity[0].tolist() == gen[1:], m
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
@@ -395,6 +425,30 @@ class TestPlannerOracle:
         plan = plan_budget(12800, 0.05, "concrete")
         assert plan.blocks == [(255, 160)] * 6 + [(70, 44)]
         assert plan.parity_bits == 4768
+
+
+class TestBlockLengthTable:
+    """The array form of the table of shortest block lengths equals the
+    linear scan it replaced, up to p_d = 0.999: above p_d of about 0.26,
+    1.1 * q exceeds 1 and the table is empty."""
+
+    def test_matches_linear_scan(self):
+        for p_d in np.arange(4000) / 4000:
+            q = 1.0 - (1.0 - p_d) ** 8
+            got = fec._shortest_block_lengths(q)
+            assert got == reference_shortest_block_lengths(q), p_d
+            assert all(type(v) is int for v in got)
+
+    def test_margins_that_round_to_an_integer(self):
+        """q = j / 1100 makes 1.1 * q * n a whole number in exact arithmetic,
+        and the float product often lands just above it."""
+        for q in np.arange(1001) / 1100:
+            assert fec._shortest_block_lengths(q) == reference_shortest_block_lengths(q), q
+
+    def test_empty_above_the_margin(self):
+        for p_d in (0.27, 0.5, 0.999):
+            assert fec._shortest_block_lengths(1.0 - (1.0 - p_d) ** 8) == []
+        assert fec._shortest_block_lengths(0.0) == list(range(2, 256))
 
 
 class TestPlanBudget:

@@ -60,6 +60,44 @@ def reference_compress(data: bytes) -> np.ndarray:
     return np.array(bits, dtype=np.uint8)
 
 
+def reference_decompress(bits) -> bytes:
+    """The per-bit decoder that whole-field reads replaced."""
+    seq = np.asarray(bits, dtype=np.uint8).tolist()
+    n = len(seq)
+    out = bytearray()
+    pos = 0
+
+    def take(width: int) -> int:
+        nonlocal pos
+        if pos + width > n:
+            raise CorruptStream("token truncated at end of stream")
+        value = 0
+        for k in range(width):
+            value = (value << 1) | seq[pos + k]
+        pos += width
+        return value
+
+    while pos < n:
+        if take(1):
+            offset = take(12) + 1
+            length = take(4) + MIN_MATCH
+            if offset > len(out):
+                raise CorruptStream("match references before start of output")
+            for _ in range(length):
+                out.append(out[-offset])
+        else:
+            out.append(take(8))
+    return bytes(out)
+
+
+def decoded(decode, bits):
+    """The decoder's bytes, or the message of its CorruptStream."""
+    try:
+        return decode(bits)
+    except CorruptStream as exc:
+        return str(exc)
+
+
 def matches(bits) -> list:
     """(offset, length) of every match token in a stream."""
     seq = [int(b) for b in bits]
@@ -199,6 +237,38 @@ class TestMatchFinder:
     @given(small_alphabet_text)
     def test_small_alphabet_text(self, data):
         assert np.array_equal(compress_bytes(data), reference_compress(data))
+
+
+class TestDecoderOracle:
+    """decompress_bytes returns the per-bit reference's bytes, or raises its
+    CorruptStream with the same message, on any 0/1 stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=400))
+    def test_random_streams(self, bits):
+        # mostly truncated tokens and matches reaching before the output
+        bits = np.array(bits, dtype=np.uint8)
+        assert decoded(decompress_bytes, bits) == decoded(reference_decompress, bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(repetitive, st.data())
+    def test_cut_and_flipped_streams(self, data, draw):
+        """Whole streams, cut anywhere, and with one bit flipped, so that a
+        token changes kind or a match's offset reaches before the output."""
+        bits = compress_bytes(data)
+        cut = bits[: draw.draw(st.integers(0, bits.size))]
+        flipped = bits.copy()
+        if bits.size:
+            flipped[draw.draw(st.integers(0, bits.size - 1))] ^= 1
+        for stream in (bits, cut, flipped):
+            assert decoded(decompress_bytes, stream) == decoded(reference_decompress, stream)
+
+    def test_messages(self):
+        for bits, message in (([1] + [0] * 16, "match references before start of output"),
+                              ([0] * 9 + [1] + [0] * 15, "token truncated at end of stream"),
+                              ([0] * 8, "token truncated at end of stream")):
+            with pytest.raises(CorruptStream, match=f"^{message}$"):
+                decompress_bytes(np.array(bits, dtype=np.uint8))
 
 
 class TestBatchApi:
