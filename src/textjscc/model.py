@@ -43,7 +43,7 @@ from .nn import (
     blstm_layer_forward,
     dense_backward,
     dense_forward,
-    glorot,
+    glorot_fill,
     log_softmax,
     lstm_cell_backward,
     lstm_cell_forward,
@@ -119,50 +119,58 @@ class JsccModel:
     """Trainable encoder/decoder pair with a shared embedding table."""
 
     def __init__(self, config: JsccConfig, seed: int | None = 0):
-        """Glorot weights drawn from seed; seed None leaves them unset, for a
+        """Glorot weights from one `glorot_fill` call over every weight block
+        in a fixed order, drawn from seed; seed None leaves them unset, for a
         checkpoint reader that fills every parameter."""
         self.config = config
-        rng = None if seed is None else np.random.default_rng(seed)
         dtype = config.dtype
-
-        def weight(shape: tuple[int, int]) -> np.ndarray:
-            return np.empty(shape, dtype) if rng is None else glorot(shape, rng, dtype)
-
         half = config.bits // 2
         enc_h, dec_h = config.encoder_hidden, config.decoder_hidden
 
-        self.embed = Parameter(weight((config.vocab_size, config.embed_dim)), "embed")
+        self.embed = Parameter(np.empty((config.vocab_size, config.embed_dim), dtype), "embed")
 
         self.encoder: list[tuple[LstmCellParams, LstmCellParams]] = []
         in_dim = config.embed_dim
         for j in range(config.encoder_stacks):
-            fwd = LstmCellParams(in_dim, enc_h, rng, dtype, f"enc{j}.fwd")
-            bwd = LstmCellParams(in_dim, enc_h, rng, dtype, f"enc{j}.bwd")
+            fwd = LstmCellParams(in_dim, enc_h, None, dtype, f"enc{j}.fwd")
+            bwd = LstmCellParams(in_dim, enc_h, None, dtype, f"enc{j}.bwd")
             self.encoder.append((fwd, bwd))
             in_dim = 2 * enc_h
 
         concat_dim = config.encoder_stacks * 2 * enc_h
-        self.W_h = Parameter(weight((half, concat_dim)), "bottleneck.W_h")
+        self.W_h = Parameter(np.empty((half, concat_dim), dtype), "bottleneck.W_h")
         self.a_h = Parameter(np.zeros((half, 1), dtype=dtype), "bottleneck.a_h")
-        self.W_c = Parameter(weight((half, concat_dim)), "bottleneck.W_c")
+        self.W_c = Parameter(np.empty((half, concat_dim), dtype), "bottleneck.W_c")
         self.a_c = Parameter(np.zeros((half, 1), dtype=dtype), "bottleneck.a_c")
 
         self.init_maps: list[tuple[Parameter, Parameter, Parameter, Parameter]] = []
         for j in range(config.decoder_stacks):
-            Wh = Parameter(weight((dec_h, half)), f"dec{j}.init.W_h")
+            Wh = Parameter(np.empty((dec_h, half), dtype), f"dec{j}.init.W_h")
             ah = Parameter(np.zeros((dec_h, 1), dtype=dtype), f"dec{j}.init.a_h")
-            Wc = Parameter(weight((dec_h, half)), f"dec{j}.init.W_c")
+            Wc = Parameter(np.empty((dec_h, half), dtype), f"dec{j}.init.W_c")
             ac = Parameter(np.zeros((dec_h, 1), dtype=dtype), f"dec{j}.init.a_c")
             self.init_maps.append((Wh, ah, Wc, ac))
 
         self.decoder: list[LstmCellParams] = []
         in_dim = config.embed_dim
         for j in range(config.decoder_stacks):
-            self.decoder.append(LstmCellParams(in_dim, dec_h, rng, dtype, f"dec{j}"))
+            self.decoder.append(LstmCellParams(in_dim, dec_h, None, dtype, f"dec{j}"))
             in_dim = dec_h
 
-        self.W_out = Parameter(weight((config.vocab_size, dec_h)), "out.W")
+        self.W_out = Parameter(np.empty((config.vocab_size, dec_h), dtype), "out.W")
         self.b_out = Parameter(np.zeros((config.vocab_size, 1), dtype=dtype), "out.b")
+
+        if seed is not None:
+            blocks = [self.embed.value]
+            for fwd, bwd in self.encoder:
+                blocks += fwd.glorot_blocks() + bwd.glorot_blocks()
+            blocks += [self.W_h.value, self.W_c.value]
+            for Wh, _, Wc, _ in self.init_maps:
+                blocks += [Wh.value, Wc.value]
+            for cell in self.decoder:
+                blocks += cell.glorot_blocks()
+            blocks.append(self.W_out.value)
+            glorot_fill(blocks, np.random.default_rng(seed))
 
         self._params: list[Parameter] = [self.embed]
         for fwd, bwd in self.encoder:

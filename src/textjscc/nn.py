@@ -38,8 +38,9 @@ not pack) or with more than NARROW_COLUMNS columns (which amortize the
 packing) stay plain `W @ x`, so training batches never take the panel path.
 
 Second core.  One worker thread, started by the first job handed to it,
-reads a `queue.SimpleQueue` and runs two kinds of job in submission order:
-weight-gradient sums and the input products of large cell steps.  A `Job`
+reads a `queue.SimpleQueue` and runs three kinds of job in submission
+order: weight-gradient sums, the input products of large cell steps, and
+the back half of a new model's Glorot draws (`glorot_fill`).  A `Job`
 runs its call in the submitter's context (so under its `np.errstate`) and
 offers `result`, `exception` and `cancel`; `cancel` withdraws a job the
 worker has not started, which then never runs.  So every product handed off
@@ -47,8 +48,9 @@ runs exactly once: on the worker, or by its caller after a `cancel`.  On a
 2-vCPU Xeon an empty handoff and wait took a median 59 us between cell
 steps and 32 us back to back.  Each of the two threads runs single-threaded
 BLAS under the package's pin, and BLAS releases the GIL, so their products
-overlap.  A job never runs a forward step: the step would wait for a product
-queued behind itself.
+overlap.  `Generator.random` releases it too, so two threads drawing from
+two bit generators overlap as well.  A job never runs a forward step or
+builds a model: the work either hands off would queue behind the job itself.
 
 Gradient accumulation.  A backward pass adds every parameter gradient
 through `Parameter.accumulate(fn, *arrays)`.  A parameter with at least
@@ -102,6 +104,7 @@ from __future__ import annotations
 import collections
 import contextvars
 import functools
+import itertools
 import queue
 import threading
 
@@ -265,6 +268,12 @@ def add_row_sums(grad: np.ndarray, dz: np.ndarray) -> None:
 
 
 GLOROT_CHUNK = 2**14  # float64 draws per pass of glorot_into
+# glorot_fill splits from this many draws.  On a 2-vCPU Xeon a handoff costs
+# 60-120 us and a float32 Glorot draw 3-5 ns.  Where the split first won
+# moved between 2**15 and 2**17 draws from run to run; at 2**18 it took
+# 0.5-1.0 ms against 0.8-1.1 ms serial.  Toy models, up to about 10**5
+# draws, stay on the caller.
+SPLIT_DRAWS = 2**18
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator, dtype) -> np.ndarray:
@@ -277,6 +286,8 @@ def glorot_into(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     and return it.  It equals `rng.uniform(-r, r, out.shape).astype(out.dtype)`
     bit for bit and leaves rng in the same state, but it draws GLOROT_CHUNK
     float64 values at a time instead of a float64 copy of the whole array."""
+    if not out.flags.c_contiguous:  # reshape would copy, and the draws land in the copy
+        raise ShapeError(f"glorot_into needs a C-contiguous array, got strides {out.strides}")
     fan_out, fan_in = out.shape
     r = np.sqrt(6.0 / (fan_in + fan_out))
     flat = out.reshape(-1)
@@ -287,6 +298,49 @@ def glorot_into(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u *= r - (-r)  # uniform computes low + (high - low) * u
         np.add(u, -r, out=flat[start:start + len(u)], casting="same_kind")
     return out
+
+
+def _glorot_each(blocks, rng: np.random.Generator) -> None:
+    for block in blocks:
+        glorot_into(block, rng)
+
+
+def glorot_fill(blocks: list[np.ndarray], rng: np.random.Generator) -> None:
+    """Fill each array of `blocks` as consecutive `glorot_into` calls would,
+    and leave rng in the same state.  From SPLIT_DRAWS draws on a PCG64
+    stream, the worker draws the blocks past the boundary nearest half the
+    draws, from a copy of the stream advanced past the front ones: each
+    float64 takes one 64-bit output, one step of `advance`.  (Philox's
+    `advance` counts blocks of four outputs, so it and every other bit
+    generator draw serially.)  The caller draws the front, then reclaims the
+    back if the worker has not started it, as `lstm_cell_forward` does, or
+    else waits for it and advances rng past it.  An exception from either
+    part is raised once both have finished or been withdrawn."""
+    ends = list(itertools.accumulate(block.size for block in blocks))
+    stream = rng.bit_generator
+    if len(blocks) < 2 or ends[-1] < SPLIT_DRAWS or type(stream) is not np.random.PCG64:
+        _glorot_each(blocks, rng)
+        return
+    cut = min(range(1, len(blocks)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
+    start = stream.state
+    behind = np.random.PCG64()
+    behind.state = start
+    behind.advance(ends[cut - 1])
+    job = _executor().submit(_glorot_each, blocks[cut:], np.random.Generator(behind))
+    try:
+        _glorot_each(blocks[:cut], rng)
+    finally:
+        reclaimed = job.cancel()
+        if not reclaimed:
+            job.exception()  # on the error path too: the worker is writing the back blocks
+    if reclaimed:
+        _glorot_each(blocks[cut:], rng)
+        return
+    job.result()
+    stream.advance(ends[-1] - ends[cut - 1])
+    # advance drops a buffered 32-bit half, which float64 draws leave alone
+    stream.state = {**stream.state, "has_uint32": start["has_uint32"],
+                    "uinteger": start["uinteger"]}
 
 
 def zero_grads(params) -> None:
@@ -366,8 +420,9 @@ def dense_backward(cache, dy: np.ndarray) -> np.ndarray:
 
 class LstmCellParams:
     """Weights for one peephole LSTM cell in stacked-gate form (see module
-    docstring); the forget-gate bias starts at 1.  With rng None the weights
-    are allocated but not drawn, for a caller that fills every one."""
+    docstring); the forget-gate bias starts at 1.  Given an rng, the cell
+    draws its `glorot_blocks` with one `glorot_fill` call; with rng None the
+    weights are allocated but not drawn, for a caller that fills every one."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None,
                  dtype=np.float32, prefix: str = "lstm"):
@@ -379,17 +434,21 @@ class LstmCellParams:
         self.b = Parameter(np.zeros((4 * h, 1), dtype=dtype), f"{prefix}.b")
         self.p = Parameter(np.empty((3 * h, 1), dtype=dtype), f"{prefix}.p")
         self.b.value[h:2 * h] = 1.0  # open forget gate
-        if rng is None:
-            return
-        # Per-gate Glorot blocks drawn in the order i, f, g, o (x, h, peephole),
-        # each straight into its rows.
+        if rng is not None:
+            glorot_fill(self.glorot_blocks(), rng)
+
+    def glorot_blocks(self) -> list[np.ndarray]:
+        """The per-gate Glorot blocks in draw order: for each gate i, f, g, o
+        its Wx rows, its Wh rows, then its peephole (g has none)."""
+        h = self.hidden_dim
+        blocks = []
         for k, gate in enumerate("ifgo"):
             rows = slice(k * h, (k + 1) * h)
-            glorot_into(self.Wx.value[rows], rng)
-            glorot_into(self.Wh.value[rows], rng)
-            if gate != "g":  # g has no peephole
+            blocks += [self.Wx.value[rows], self.Wh.value[rows]]
+            if gate != "g":
                 j = "ifo".index(gate)
-                glorot_into(self.p.value[j * h:(j + 1) * h], rng)
+                blocks.append(self.p.value[j * h:(j + 1) * h])
+        return blocks
 
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh, self.b, self.p]

@@ -181,6 +181,18 @@ class TestGlorot:
         assert np.all(whole[:2] == 7.0) and np.all(whole[4:] == 7.0)
 
 
+class TestGlorotIntoLayout:
+    def test_a_strided_view_is_rejected_before_any_draw(self):
+        """A reshape of a non-contiguous view is a copy: the draws would
+        land in the copy and leave the view as it was."""
+        whole = np.zeros((4, 6), np.float32)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            glorot_into(whole[:, :3], rng)
+        assert not whole.any() and rng.bit_generator.state == state
+
+
 class TestBlstm:
     def test_empty_sequence(self):
         rng = np.random.default_rng(0)

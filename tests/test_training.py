@@ -16,7 +16,7 @@ from textjscc import model as model_module
 from textjscc.checkpoint import load_for_resume, load_model, save_checkpoint
 from textjscc.config import load_config
 from textjscc.corpus import EOS_ID, batch_by_length, build_vocabulary, tokenize
-from textjscc.errors import EmptyCorpus, IoError, NumericalError
+from textjscc.errors import EmptyCorpus, IoError, NumericalError, ShapeError
 from textjscc.gradcheck import run_verification_suite
 from textjscc.model import JsccConfig, JsccModel
 from textjscc.optim import AdamState, adam_step
@@ -306,7 +306,8 @@ class TestCheckpoint:
             pytest.fail("loading drew an initialization")
         monkeypatch.setattr(nn, "glorot", draw)
         monkeypatch.setattr(nn, "glorot_into", draw)
-        monkeypatch.setattr(model_module, "glorot", draw)
+        monkeypatch.setattr(nn, "glorot_fill", draw)
+        monkeypatch.setattr(model_module, "glorot_fill", draw)
         loaded, _ = load_model(path)
         resumed, adam, epoch = load_for_resume(path, 1e-3, 5.0)
         assert epoch == 2 and adam.t == 7
@@ -992,6 +993,229 @@ class TestConcurrentStep:
         assert model.beam_search_decode(obs, max_len=6) == serial
         drain_worker()
         assert handoffs and len(products) == serial_products
+
+
+def sequential_glorot(shapes, rng, dtype):
+    """The reference for glorot_fill: one glorot_into call per block, in order."""
+    return [nn.glorot_into(np.empty(shape, dtype), rng) for shape in shapes]
+
+
+def sequential_model_weights(config, seed):
+    """Every parameter value of JsccModel(config, seed) by name, from one
+    glorot_into call per block in the model's draw order: embed, each
+    encoder cell (fwd, bwd), W_h, W_c, the init maps, the decoder cells,
+    W_out; within a cell, per gate i, f, g, o: Wx rows, Wh rows, peephole."""
+    rng = np.random.default_rng(seed)
+    dtype, half = config.dtype, config.bits // 2
+    want = {}
+
+    def draw(name, shape):
+        want[name] = nn.glorot_into(np.empty(shape, dtype), rng)
+
+    def cell(prefix, d, h):
+        Wx, Wh, p = np.empty((4 * h, d), dtype), np.empty((4 * h, h), dtype), np.empty((3 * h, 1), dtype)
+        for k, gate in enumerate("ifgo"):
+            nn.glorot_into(Wx[k * h:(k + 1) * h], rng)
+            nn.glorot_into(Wh[k * h:(k + 1) * h], rng)
+            if gate != "g":
+                j = "ifo".index(gate)
+                nn.glorot_into(p[j * h:(j + 1) * h], rng)
+        b = np.zeros((4 * h, 1), dtype)
+        b[h:2 * h] = 1.0
+        want.update({f"{prefix}.Wx": Wx, f"{prefix}.Wh": Wh, f"{prefix}.b": b, f"{prefix}.p": p})
+
+    draw("embed", (config.vocab_size, config.embed_dim))
+    d, he = config.embed_dim, config.encoder_hidden
+    for j in range(config.encoder_stacks):
+        cell(f"enc{j}.fwd", d, he)
+        cell(f"enc{j}.bwd", d, he)
+        d = 2 * he
+    draw("bottleneck.W_h", (half, 2 * config.encoder_stacks * he))
+    draw("bottleneck.W_c", (half, 2 * config.encoder_stacks * he))
+    for j in range(config.decoder_stacks):
+        draw(f"dec{j}.init.W_h", (config.decoder_hidden, half))
+        draw(f"dec{j}.init.W_c", (config.decoder_hidden, half))
+    d = config.embed_dim
+    for j in range(config.decoder_stacks):
+        cell(f"dec{j}", d, config.decoder_hidden)
+        d = config.decoder_hidden
+    draw("out.W", (config.vocab_size, config.decoder_hidden))
+    return want
+
+
+def assert_model_weights(model, want):
+    for p in model.parameters():
+        expected = want.get(p.name, np.zeros_like(p.value))  # biases not listed start at 0
+        assert p.value.dtype == model.config.dtype and np.array_equal(p.value, expected), p.name
+
+
+# Both sides of the split threshold; the cut falls after the third block.
+SPLIT_SHAPES = [(300, 200), (7, 1), (512, 256), (1, 1), (256, 300), (40, 3)]
+SERIAL_SHAPES = [(300, 200), (7, 1), (1, 1), (40, 3)]
+PAPER = JsccConfig(vocab_size=1000)
+
+
+def fill_jobs(handoffs):
+    return [args for fn, args in handoffs if fn is nn._glorot_each]
+
+
+class TestGlorotFill:
+    """glorot_fill equals one glorot_into call per block, in order, and
+    leaves the rng in the same state, whether or not the worker draws the
+    back part."""
+
+    def test_the_shapes_straddle_the_threshold(self):
+        assert sum(a * b for a, b in SERIAL_SHAPES) < nn.SPLIT_DRAWS
+        assert sum(a * b for a, b in SPLIT_SHAPES) >= nn.SPLIT_DRAWS
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes,jobs", [(SERIAL_SHAPES, 0), (SPLIT_SHAPES, 1)])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_equals_sequential_draws(self, monkeypatch, shapes, jobs, dtype, primed):
+        """primed: one float32 draw first leaves half a 64-bit output
+        buffered, which `advance` would drop."""
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        if primed:
+            rng.random(dtype=np.float32)
+            ref_rng.random(dtype=np.float32)
+        want = sequential_glorot(shapes, ref_rng, dtype)
+        blocks = [np.empty(shape, dtype) for shape in shapes]
+        handoffs = record_handoffs(monkeypatch)
+        nn.glorot_fill(blocks, rng)
+        assert len(fill_jobs(handoffs)) == jobs
+        for got, ref in zip(blocks, want, strict=True):
+            assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random(dtype=np.float32) == ref_rng.random(dtype=np.float32)
+
+    def test_a_stream_that_advances_in_other_units_draws_serially(self, monkeypatch):
+        """Philox's `advance` steps whole counter blocks of four outputs, so
+        an advanced copy would not continue where the front part ends."""
+        rng, ref_rng = (np.random.Generator(np.random.Philox(5)) for _ in range(2))
+        want = sequential_glorot(SPLIT_SHAPES, ref_rng, np.float32)
+        blocks = [np.empty(shape, np.float32) for shape in SPLIT_SHAPES]
+        handoffs = record_handoffs(monkeypatch)
+        nn.glorot_fill(blocks, rng)
+        assert not fill_jobs(handoffs)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, want, strict=True))
+        assert rng.random() == ref_rng.random()
+
+    def test_the_worker_draws_the_back_part_from_the_cut(self, monkeypatch):
+        blocks = [np.empty(shape, np.float32) for shape in SPLIT_SHAPES]
+        handoffs = record_handoffs(monkeypatch)
+        nn.glorot_fill(blocks, np.random.default_rng(1))
+        ((back, _),) = fill_jobs(handoffs)
+        assert [b.shape for b in back] == SPLIT_SHAPES[3:]
+        assert all(a is b for a, b in zip(back, blocks[3:], strict=True))
+
+    def test_a_blocked_worker_leaves_the_back_part_to_its_caller(self, monkeypatch):
+        """The caller reclaims the back part and draws it on from where its
+        front part ended; the worker never runs it afterwards."""
+        ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        want = sequential_glorot(SPLIT_SHAPES, ref_rng, np.float32)
+        blocks = [np.empty(shape, np.float32) for shape in SPLIT_SHAPES]
+        threads = []
+        glorot_into = nn.glorot_into
+
+        def recording(block, rng):
+            threads.append(threading.current_thread().name)
+            return glorot_into(block, rng)
+        release = blocked_worker()
+        try:
+            handoffs = record_handoffs(monkeypatch)
+            monkeypatch.setattr(nn, "glorot_into", recording)
+            nn.glorot_fill(blocks, rng)
+            assert len(fill_jobs(handoffs)) == 1
+        finally:
+            release.set()
+        drain_worker()
+        assert threads == ["MainThread"] * len(SPLIT_SHAPES)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, want, strict=True))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_an_error_in_the_back_part_is_raised_after_the_front_part(self):
+        blocks = [np.empty(shape, np.float32) for shape in SPLIT_SHAPES]
+        blocks[4] = np.empty((256, 600), np.float32)[:, ::2]  # a strided view: glorot_into raises
+        want = sequential_glorot(SPLIT_SHAPES[:3], np.random.default_rng(4), np.float32)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            nn.glorot_fill(blocks, np.random.default_rng(4))
+        assert all(np.array_equal(a, b) for a, b in zip(blocks[:3], want, strict=True))
+
+    def test_an_error_in_the_front_part_waits_for_the_started_back_part(self, monkeypatch):
+        """The caller's part fails once the worker has started the back part,
+        which then waits for that failure: the error reaches the caller only
+        after the worker has drawn every back block."""
+        blocks = [np.empty(shape, np.float32) for shape in SPLIT_SHAPES]
+        blocks[0] = np.empty((300, 400), np.float32)[:, ::2]
+        started, failed, events = threading.Event(), threading.Event(), []
+        glorot_into = nn.glorot_into
+
+        def gated(block, rng):
+            if threading.current_thread().name == WORKER:
+                started.set()
+                failed.wait(10)
+                glorot_into(block, rng)
+                events.append("worker")
+                return block
+            started.wait(10)
+            try:
+                return glorot_into(block, rng)
+            finally:
+                events.append("caller")
+                failed.set()
+        monkeypatch.setattr(nn, "glorot_into", gated)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            nn.glorot_fill(blocks, np.random.default_rng(4))
+        assert events == ["caller"] + ["worker"] * (len(SPLIT_SHAPES) - 3)
+
+    def test_a_large_cell_equals_its_per_gate_draws(self, monkeypatch):
+        d, h = 512, 512
+        handoffs = record_handoffs(monkeypatch)
+        rng = np.random.default_rng(6)
+        cell = nn.LstmCellParams(d, h, rng, np.float32, "c")
+        assert len(fill_jobs(handoffs)) == 1
+        ref_rng = np.random.default_rng(6)
+        shapes = [s for g in "ifgo" for s in [(h, d), (h, h)] + ([(h, 1)] if g != "g" else [])]
+        want = iter(sequential_glorot(shapes, ref_rng, np.float32))
+        for k, gate in enumerate("ifgo"):
+            rows = slice(k * h, (k + 1) * h)
+            assert np.array_equal(cell.Wx.value[rows], next(want))
+            assert np.array_equal(cell.Wh.value[rows], next(want))
+            if gate != "g":
+                j = "ifo".index(gate)
+                assert np.array_equal(cell.p.value[j * h:(j + 1) * h], next(want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestModelInitialization:
+    """JsccModel(config, seed) equals one glorot_into call per weight block
+    in the model's draw order."""
+
+    @pytest.mark.parametrize("seed", [0, 1234])
+    def test_paper_model_splits_its_draws(self, monkeypatch, seed):
+        handoffs = record_handoffs(monkeypatch)
+        model = JsccModel(PAPER, seed)
+        assert len(fill_jobs(handoffs)) == 1
+        assert_model_weights(model, sequential_model_weights(PAPER, seed))
+
+    def test_toy_model_draws_serially(self, monkeypatch):
+        config = JsccConfig(vocab_size=40, embed_dim=16, encoder_stacks=2, encoder_hidden=12,
+                            decoder_stacks=2, decoder_hidden=24, bits=32, precision="f64")
+        handoffs = record_handoffs(monkeypatch)
+        model = JsccModel(config, 3)
+        assert not handoffs
+        assert_model_weights(model, sequential_model_weights(config, 3))
+
+    def test_a_blocked_worker_leaves_the_paper_model_identical(self, monkeypatch):
+        release = blocked_worker()
+        try:
+            handoffs = record_handoffs(monkeypatch)
+            model = JsccModel(PAPER, 1)
+            assert len(fill_jobs(handoffs)) == 1
+        finally:
+            release.set()
+        drain_worker()
+        assert_model_weights(model, sequential_model_weights(PAPER, 1))
 
 
 class TestNarrowRun:
