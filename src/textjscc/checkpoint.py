@@ -14,8 +14,9 @@ weights depend bit for bit; resuming under another, or unrecorded, one warns.
 The file is read in one pass: the header is checked, the model's arrays are
 allocated from its config without an initialization draw, and each blob is
 read into its array, a parameter or, when resuming, an Adam moment; moments
-are skipped unless resuming.  Every read is bounded by the file size first
-and every array must be filled, so a bad file raises IoError.
+are skipped unless resuming.  Every read is bounded by the file size first,
+every array must be filled and every value read must be finite, so a bad
+file raises IoError.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def _load(path: str, resume: tuple[float, float] | None):
                     fh.readinto(memoryview(target).cast("B")[:bound(target.nbytes)])
                     if sys.byteorder == "big":
                         target.byteswap(inplace=True)
+                    if not np.isfinite(target).all():
+                        raise IoError(f"checkpoint {path} has a value that is not finite "
+                                      f"in blob {name!r}")
             if fh.tell() != size:
                 raise IoError(f"checkpoint {path} has {size - fh.tell()} trailing bytes")
     except OSError as exc:

@@ -126,7 +126,7 @@ def _read_trainlog(path: str, epoch: int) -> list[list[str]]:
     """The log's rows for epochs up to `epoch`, the resumed checkpoint's: later
     rows belong to epochs the resumed run trains again.  No log reads as none."""
     rows = read_csv(path, "training log") if os.path.exists(path) else [_TRAINLOG_HEADER]
-    if rows[:1] != [_TRAINLOG_HEADER] or not all(r[:1] and r[0].isdigit() for r in rows[1:]):
+    if rows[:1] != [_TRAINLOG_HEADER] or not all(r[:1] and r[0].isdecimal() for r in rows[1:]):
         raise IoError(f"training log {path} does not hold one row per epoch")
     return [r for r in rows[1:] if int(r[0]) <= epoch]
 

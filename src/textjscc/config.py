@@ -134,6 +134,9 @@ class RunConfig:
             raise ConfigError(f"model.bits must be even and >= 2, got {v['model.bits']}")
         if v["train.precision"] not in ("f32", "f64"):
             raise ConfigError(f"train.precision must be f32 or f64, got {v['train.precision']!r}")
+        if not all(isinstance(path, str) for path in v["sweep.checkpoints"]):
+            raise ConfigError(f"sweep.checkpoints must hold only strings, "
+                              f"got {v['sweep.checkpoints']!r}")
         self.sweep_spec()  # SweepSpec checks the sweep.* keys and baseline.fec_mode
 
     # ----- derived objects -----

@@ -18,10 +18,15 @@ Gradients pass through the binarizer unchanged (straight-through: the
 derivative of its expectation, which is the identity), and through the
 channel only at surviving positions.
 
+`JsccModel.__init__` declares each parameter once: that walk is the one place
+the parameter order, the checkpoint blob order and the Glorot draw order live.
+
 Inference has one search, `JsccModel._beam_search`, over the columns of a
 (bits, S) observation matrix.  It has two entry points: `greedy_decode_batch`
 (the per-epoch train WER) is its width-1 case over a batch, and
-`beam_search_decode` (transmit and the sweeps) its one-sentence case.
+`beam_search_decode` (transmit and the sweeps) its one-sentence case.  One
+ranking serves every width: a partition prefilter, then the exact (-total,
+token, prefix) key, which at width 1 takes the argmax, ties to the smaller token.
 """
 
 from __future__ import annotations
@@ -119,68 +124,56 @@ class JsccModel:
     """Trainable encoder/decoder pair with a shared embedding table."""
 
     def __init__(self, config: JsccConfig, seed: int | None = 0):
-        """Glorot weights from one `glorot_fill` call over every weight block
-        in a fixed order, drawn from seed; seed None leaves them unset, for a
-        checkpoint reader that fills every parameter."""
+        """Each parameter is declared once, in `parameters()` order; a weight
+        also joins the draw order of the one `glorot_fill` call from seed.
+        Seed None leaves weights unset, for a checkpoint reader."""
         self.config = config
         dtype = config.dtype
         half = config.bits // 2
         enc_h, dec_h = config.encoder_hidden, config.decoder_hidden
+        self._params: list[Parameter] = []
+        blocks: list[np.ndarray] = []  # the Glorot draw order
 
-        self.embed = Parameter(np.empty((config.vocab_size, config.embed_dim), dtype), "embed")
+        def weight(shape, name):
+            p = Parameter(np.empty(shape, dtype), name)
+            self._params.append(p)
+            blocks.append(p.value)
+            return p
 
+        def bias(rows, name):
+            p = Parameter(np.zeros((rows, 1), dtype), name)
+            self._params.append(p)
+            return p
+
+        def cell(in_dim, hidden, name):
+            c = LstmCellParams(in_dim, hidden, None, dtype, name)
+            self._params.extend(c.parameters())
+            blocks.extend(c.glorot_blocks())
+            return c
+
+        self.embed = weight((config.vocab_size, config.embed_dim), "embed")
         self.encoder: list[tuple[LstmCellParams, LstmCellParams]] = []
         in_dim = config.embed_dim
         for j in range(config.encoder_stacks):
-            fwd = LstmCellParams(in_dim, enc_h, None, dtype, f"enc{j}.fwd")
-            bwd = LstmCellParams(in_dim, enc_h, None, dtype, f"enc{j}.bwd")
-            self.encoder.append((fwd, bwd))
+            self.encoder.append((cell(in_dim, enc_h, f"enc{j}.fwd"),
+                                 cell(in_dim, enc_h, f"enc{j}.bwd")))
             in_dim = 2 * enc_h
-
         concat_dim = config.encoder_stacks * 2 * enc_h
-        self.W_h = Parameter(np.empty((half, concat_dim), dtype), "bottleneck.W_h")
-        self.a_h = Parameter(np.zeros((half, 1), dtype=dtype), "bottleneck.a_h")
-        self.W_c = Parameter(np.empty((half, concat_dim), dtype), "bottleneck.W_c")
-        self.a_c = Parameter(np.zeros((half, 1), dtype=dtype), "bottleneck.a_c")
-
-        self.init_maps: list[tuple[Parameter, Parameter, Parameter, Parameter]] = []
-        for j in range(config.decoder_stacks):
-            Wh = Parameter(np.empty((dec_h, half), dtype), f"dec{j}.init.W_h")
-            ah = Parameter(np.zeros((dec_h, 1), dtype=dtype), f"dec{j}.init.a_h")
-            Wc = Parameter(np.empty((dec_h, half), dtype), f"dec{j}.init.W_c")
-            ac = Parameter(np.zeros((dec_h, 1), dtype=dtype), f"dec{j}.init.a_c")
-            self.init_maps.append((Wh, ah, Wc, ac))
-
-        self.decoder: list[LstmCellParams] = []
-        in_dim = config.embed_dim
-        for j in range(config.decoder_stacks):
-            self.decoder.append(LstmCellParams(in_dim, dec_h, None, dtype, f"dec{j}"))
-            in_dim = dec_h
-
-        self.W_out = Parameter(np.empty((config.vocab_size, dec_h), dtype), "out.W")
-        self.b_out = Parameter(np.zeros((config.vocab_size, 1), dtype=dtype), "out.b")
-
+        self.W_h = weight((half, concat_dim), "bottleneck.W_h")
+        self.a_h = bias(half, "bottleneck.a_h")
+        self.W_c = weight((half, concat_dim), "bottleneck.W_c")
+        self.a_c = bias(half, "bottleneck.a_c")
+        self.init_maps: list[tuple[Parameter, Parameter, Parameter, Parameter]] = [
+            (weight((dec_h, half), f"dec{j}.init.W_h"), bias(dec_h, f"dec{j}.init.a_h"),
+             weight((dec_h, half), f"dec{j}.init.W_c"), bias(dec_h, f"dec{j}.init.a_c"))
+            for j in range(config.decoder_stacks)]
+        self.decoder: list[LstmCellParams] = [
+            cell(dec_h if j else config.embed_dim, dec_h, f"dec{j}")
+            for j in range(config.decoder_stacks)]
+        self.W_out = weight((config.vocab_size, dec_h), "out.W")
+        self.b_out = bias(config.vocab_size, "out.b")
         if seed is not None:
-            blocks = [self.embed.value]
-            for fwd, bwd in self.encoder:
-                blocks += fwd.glorot_blocks() + bwd.glorot_blocks()
-            blocks += [self.W_h.value, self.W_c.value]
-            for Wh, _, Wc, _ in self.init_maps:
-                blocks += [Wh.value, Wc.value]
-            for cell in self.decoder:
-                blocks += cell.glorot_blocks()
-            blocks.append(self.W_out.value)
             glorot_fill(blocks, np.random.default_rng(seed))
-
-        self._params: list[Parameter] = [self.embed]
-        for fwd, bwd in self.encoder:
-            self._params += fwd.parameters() + bwd.parameters()
-        self._params += [self.W_h, self.a_h, self.W_c, self.a_c]
-        for maps in self.init_maps:
-            self._params += list(maps)
-        for cell in self.decoder:
-            self._params += cell.parameters()
-        self._params += [self.W_out, self.b_out]
 
     def parameters(self) -> list[Parameter]:
         """Declaration-order parameter list (checkpoint blob order)."""
@@ -391,8 +384,6 @@ class JsccModel:
     def greedy_decode_batch(self, obs: np.ndarray, max_len: int | None = None) -> list[list[int]]:
         """Argmax decoding of a (bits, B) observation batch; EOS-terminated.
         The width-1 case of the beam search."""
-        if max_len is None:
-            max_len = self.config.max_decode_len
         return self._beam_search(obs, 1, max_len)
 
     def beam_search_decode(self, obs: np.ndarray, beam_width: int | None = None,
@@ -400,12 +391,6 @@ class JsccModel:
         """Length-bounded beam search over one observation, (bits,) or
         (bits, 1); returns the finished hypothesis with the highest total log
         probability.  The one-sentence case of `_beam_search`."""
-        if beam_width is None:
-            beam_width = self.config.beam_width
-        if max_len is None:
-            max_len = self.config.max_decode_len
-        if beam_width < 1:
-            raise DomainError("beam width must be >= 1")
         obs = np.asarray(obs)
         if obs.ndim == 1:
             obs = obs[:, None]
@@ -413,8 +398,10 @@ class JsccModel:
             raise ShapeError(f"beam search decodes one observation, got shape {obs.shape}")
         return self._beam_search(obs, beam_width, max_len)[0]
 
-    def _beam_search(self, obs: np.ndarray, beam_width: int, max_len: int) -> list[list[int]]:
-        """Beam search over each column of a (bits, S) observation matrix.
+    def _beam_search(self, obs: np.ndarray, beam_width: int | None = None,
+                     max_len: int | None = None) -> list[list[int]]:
+        """Beam search over each column of a (bits, S) observation matrix;
+        a width or length of None is the config's.
 
         Each step runs one decoder step whose columns are the live hypotheses
         of every sentence still searching.  Each sentence ranks its own
@@ -426,6 +413,10 @@ class JsccModel:
         normalization), shorter first on a tie; hypotheses cut off at max_len
         count as finished.
         """
+        beam_width = self.config.beam_width if beam_width is None else beam_width
+        max_len = self.config.max_decode_len if max_len is None else max_len
+        if beam_width < 1:
+            raise DomainError("beam width must be >= 1")
         if max_len < 1:
             raise DomainError(f"max_decode_len must be >= 1, got {max_len}")
         vocab = self.config.vocab_size
@@ -445,15 +436,12 @@ class JsccModel:
             # its rows, or each row's own when sentences hold unequal numbers
             # of hypotheses (a superset); only candidates at or above it go to
             # the exact key.
-            if beam_width == 1:
-                flat = scores.argmax(axis=1) + np.arange(0, scores.size, vocab)
-            else:
-                k = len(prefixes[searching[0]])
-                blocks = scores
-                if all(len(prefixes[s]) == k for s in searching):
-                    blocks = scores.reshape(len(searching), k * vocab)
-                kth = max(blocks.shape[1] - beam_width, 0)
-                flat = np.flatnonzero(blocks >= np.partition(blocks, kth, axis=1)[:, kth, None])
+            k = len(prefixes[searching[0]])
+            blocks = scores
+            if all(len(prefixes[s]) == k for s in searching):
+                blocks = scores.reshape(len(searching), k * vocab)
+            kth = max(blocks.shape[1] - beam_width, 0)
+            flat = np.flatnonzero(blocks >= np.partition(blocks, kth, axis=1)[:, kth, None])
             found = scores.ravel()[flat].tolist()
             rows, tokens = (a.tolist() for a in np.divmod(flat, vocab))
             keep, last, still, totals, row, start = [], [], [], [], 0, 0

@@ -118,8 +118,6 @@ def encode_group(system: str, codebook: HuffmanCodebook | None,
         bbe = encode_batch_with_budget(group, source_bits)
         return BudgetedEncoding(bbe.bits, sum(bbe.words_dropped), bbe.fits)
     if system == "huffman":
-        if codebook is None:
-            raise ConfigError("huffman baseline needs a codebook")
         return encode_with_budget(group[0], lambda text: huffman_encode(text, codebook),
                                   source_bits)
     if system == "fixed5":
@@ -176,10 +174,10 @@ def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
               codebook: HuffmanCodebook | None = None) -> list[SweepResult]:
     """Transmit the test set at every axis value for every system.
 
-    For the deep system, `models` maps each bit budget to a trained model;
-    a missing budget raises ConfigError.  Every baseline cell is planned
-    before any cell runs, so a plan that cannot host an RS block is a
-    ConfigError naming the system and axis value.  Every transmission draws
+    For the deep system, `models` maps each bit budget to a trained model.
+    A missing budget, huffman without a codebook, or a baseline plan that
+    cannot host an RS block is a ConfigError raised before any cell runs; a
+    plan's names the system and axis value.  Every transmission draws
     from its own RNG stream, derived from (seed, axis index, system index,
     trial, sentence or LZ batch index).
     """
@@ -204,6 +202,8 @@ def run_sweep(spec: SweepSpec, sentences: Sequence[TokenizedSentence],
                 if models is None or bits not in models:
                     raise ConfigError(f"no trained checkpoint for bit budget {bits}")
                 evaluate = partial(_eval_deep, models[bits], sents, p_d)
+            elif system == "huffman" and codebook is None:
+                raise ConfigError("huffman baseline needs a codebook")
             else:
                 size = spec.lz_batch if system == "gzip-batch" else 1
                 groups = [[s.words() for s in sents[i:i + size]]

@@ -302,7 +302,8 @@ class TestRangeTable:
         ["--set", "sweep.systems=[bogus]"],
         ["--set", "sweep.systems=[[fixed5]]"],
         ["--set", "sweep.axis=erasure_rate", "--set", "sweep.values=[0.5, 1.0]"],
-    ], ids=["axis", "systems", "nested-systems", "erasure-rate-values"])
+        ["--set", "sweep.checkpoints=[2]"],
+    ], ids=["axis", "systems", "nested-systems", "erasure-rate-values", "checkpoint-fd"])
     def test_bad_sweep_key_exits_2_before_any_file(self, workdir, capsys, bad):
         """A bad sweep.* value is a config error in a fresh directory, not a
         complaint about the missing vocabulary."""
@@ -456,8 +457,10 @@ class TestTrain:
         assert [line.split(",")[0] for line in self._log(out)] == ["epoch", "3"]
 
     @pytest.mark.parametrize("log", ["epoch,loss\r\n", "", "not,a,log\r\n",
-                                     TRAINLOG_LINE + "\r\nx,1,1,1,1,1,1\r\n"],
-                             ids=["short-header", "empty", "foreign", "bad-epoch"])
+                                     TRAINLOG_LINE + "\r\nx,1,1,1,1,1,1\r\n",
+                                     TRAINLOG_LINE + "\r\n\u00b2,1,1,1,1,1,1\r\n"],
+                             ids=["short-header", "empty", "foreign", "bad-epoch",
+                                  "superscript-epoch"])
     def test_unreadable_log_exits_3_and_keeps_it(self, workdir, capsys, log):
         tmp, out, base = workdir
         run(["prepare"] + base)
@@ -663,6 +666,22 @@ class TestTransmit:
         assert code == 3, err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert str(ckpt) in err and "Traceback" not in err
+
+    def test_nan_checkpoint_exits_3(self, workdir, capsys):
+        tmp, out, base = workdir
+        run(["prepare"] + base)
+        model = JsccModel(JsccConfig(vocab_size=6, embed_dim=2, encoder_stacks=1,
+                                     encoder_hidden=2, decoder_stacks=1, decoder_hidden=2,
+                                     bits=4))
+        model.W_out.value[5, 0] = np.nan
+        ckpt = tmp / "nan.tjscc"
+        save_checkpoint(str(ckpt), model)
+        capsys.readouterr()
+        code = run(["transmit", "--sentence", "the cat sat on the mat .", "--system", "deep",
+                    "--checkpoint", str(ckpt)] + base)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == f"error: checkpoint {ckpt} has a value that is not finite in blob 'out.W'\n"
 
     def test_deep_system_runs(self, workdir, capsys):
         tmp, out, base = workdir

@@ -51,6 +51,22 @@ class TestJsccConfig:
         assert len(params) == 39
         assert sum(p.value.size for p in params) == 7_611_064
 
+    def test_paper_config_parameter_names_in_order(self):
+        """The declaration order, which is also the checkpoint blob order."""
+        model = JsccModel(JsccConfig(vocab_size=1000), seed=None)
+        assert [p.name for p in model.parameters()] == [
+            "embed",
+            "enc0.fwd.Wx", "enc0.fwd.Wh", "enc0.fwd.b", "enc0.fwd.p",
+            "enc0.bwd.Wx", "enc0.bwd.Wh", "enc0.bwd.b", "enc0.bwd.p",
+            "enc1.fwd.Wx", "enc1.fwd.Wh", "enc1.fwd.b", "enc1.fwd.p",
+            "enc1.bwd.Wx", "enc1.bwd.Wh", "enc1.bwd.b", "enc1.bwd.p",
+            "bottleneck.W_h", "bottleneck.a_h", "bottleneck.W_c", "bottleneck.a_c",
+            "dec0.init.W_h", "dec0.init.a_h", "dec0.init.W_c", "dec0.init.a_c",
+            "dec1.init.W_h", "dec1.init.a_h", "dec1.init.W_c", "dec1.init.a_c",
+            "dec0.Wx", "dec0.Wh", "dec0.b", "dec0.p",
+            "dec1.Wx", "dec1.Wh", "dec1.b", "dec1.p",
+            "out.W", "out.b"]
+
     def test_odd_bits_rejected(self):
         with pytest.raises(DomainError):
             tiny_config(bits=7)
@@ -697,6 +713,15 @@ class TestBeamSearchCore:
                        lambda: model.greedy_decode_batch(obs, 0),
                        lambda: model._beam_search(obs, 2, -1)):
             with pytest.raises(DomainError, match="^max_decode_len must be >= 1, got -?[01]$"):
+                decode()
+
+    def test_width_below_one_is_domain_error(self):
+        model = self._model(0.2)
+        obs = random_observations(model.config.bits, 3, seed=0)
+        for decode in (lambda: model.beam_search_decode(obs[:, 0], 0),
+                       lambda: model.beam_search_decode(obs[:, 0], -2, 4),
+                       lambda: model._beam_search(obs, 0)):
+            with pytest.raises(DomainError, match="^beam width must be >= 1$"):
                 decode()
 
     def test_greedy_matches_the_argmax_loop_on_tied_logits(self):

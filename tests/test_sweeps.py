@@ -286,6 +286,17 @@ class TestBaselinePlans:
             run_sweep(spec, sents, codebook=book)
         assert evaluated == []
 
+    def test_missing_codebook_fails_before_any_cell(self, corpus, monkeypatch):
+        _, sents, _ = corpus
+        evaluated = []
+        monkeypatch.setattr(sweeps, "_eval_deep", lambda *a: evaluated.append(a))
+        monkeypatch.setattr(sweeps, "encode_group", lambda *a: evaluated.append(a))
+        spec = SweepSpec(axis="bits_per_sentence", values=[32], systems=["deep", "huffman"],
+                         trials=1, seed=0)
+        with pytest.raises(ConfigError, match="^huffman baseline needs a codebook$"):
+            run_sweep(spec, sents, models={32: None})
+        assert evaluated == []
+
 
 class TestEmitResults:
     def _table(self):

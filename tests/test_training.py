@@ -226,6 +226,29 @@ class TestCheckpoint:
         with pytest.raises(IoError, match="trailing"):
             load_model(str(path))
 
+    def test_a_nan_parameter_is_io_error(self, tmp_path):
+        model = JsccModel(TINY)
+        model.W_out.value[5, 0] = np.nan
+        path = str(tmp_path / "model.tjscc")
+        save_checkpoint(path, model, AdamState(model.parameters()))
+        for load in (load_model, lambda p: load_for_resume(p, 1e-3, 5.0)):
+            with pytest.raises(IoError, match=f"^checkpoint {re.escape(path)} has a value "
+                                              "that is not finite in blob 'out.W'$"):
+                load(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_an_infinite_moment_is_io_error_on_resume(self, tmp_path, value):
+        """load_model skips the moments, so only a resume reads the bad one."""
+        model = JsccModel(TINY)
+        state = AdamState(model.parameters())
+        state.v[3][0, 0] = value
+        path = str(tmp_path / "model.tjscc")
+        save_checkpoint(path, model, state)
+        name = f"adam.v.{model.parameters()[3].name}"
+        with pytest.raises(IoError, match=f"not finite in blob {re.escape(repr(name))}$"):
+            load_for_resume(path, 1e-3, 5.0)
+        assert load_model(path)[0].config == TINY
+
     def test_parameter_count_matches_the_model(self):
         paper = load_config().jscc_config(1000)
         assert paper.parameter_count() == 7_611_064
